@@ -14,10 +14,20 @@ with ``u_0 = y0`` and ``u_1`` supplied by a dedicated starting formula.
 
 Because the tail weights change with the step count ``m``, a naive
 implementation rebuilds the whole stencil every step and pays O(n^2) in
-weight construction on top of the unavoidable O(n^2) convolution.  The
-solver below instead freezes the head-corrected interior weights once and
-patches only the O(1) tail entries per step, with compensated accumulators
-for the harmonic partial sums the tails need.
+weight construction alone.  The solver below instead freezes the
+head-corrected interior weights once and patches only the O(1) tail
+entries per step, with compensated accumulators for the harmonic partial
+sums the tails need.
+
+The history sum is split by lag.  The most recent ``_NEAR_FIELD`` lags are
+a direct dot product at every step; older history reaches each step
+through the blocked online convolution of Hairer, Lubich & Schlichte
+("Fast numerical solution of nonlinear Volterra convolution equations",
+SIAM J. Sci. Stat. Comput. 6, 1985), which adds a finished block's
+far-field contribution to every later step of its sibling block with one
+FFT product.  Only the order of the additions changes: the recurrence is
+still solved step by step, so every damping, divergent runs included, is
+served in O(n * _NEAR_FIELD + n log^2 n).
 """
 
 from __future__ import annotations
@@ -28,17 +38,20 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .caputo import exact_caputo_cos2pix, exact_caputo_exp, exact_caputo_power
 from .schemes import (
     SchemeId,
+    _ASYM_N,
+    _RIGHT_FAMILY,
     _generic_raw_weights,
     _true_tail_weights,
     build_weights,
     normalized_lambda,
     scheme_norm,
 )
-from .specfun import alpha_constants
+from .specfun import AlphaConstants, alpha_constants
 
 __all__ = [
     "NS_LABELS",
@@ -62,6 +75,12 @@ _DIVERGENCE_LIMIT = 1e30
 #: and tail regions of every scheme are guaranteed disjoint and the
 #: incremental tail-patching path takes over.
 _SMALL_M = 6
+
+#: Lags below this width are summed directly at every step; older lags
+#: reach a step through the FFT far field.  A solve with fewer steps is the
+#: plain march, bit for bit.  Must exceed ``_SMALL_M``, whose full rebuilds
+#: carry their whole history.
+_NEAR_FIELD = 4096
 
 
 class StartMode(Enum):
@@ -185,6 +204,83 @@ class _NeumaierSum:
         return self._total + self._comp
 
 
+class _TailSums:
+    """Shifted partial sums ``S_m[s] - zeta(s)`` read by the tail formulas.
+
+    :meth:`advance` adds the ``k = m - 1`` terms and returns the values for
+    ``s = alpha, 1 + alpha, alpha - 1``.  Past the series crossover
+    ``_ASYM_N`` the ``K``/``W`` coefficients read no sum and only the
+    right-sum base ``-S_m[1+alpha]`` still does, so the sums nobody reads
+    stop accumulating and come back as ``None``.
+    """
+
+    __slots__ = ("_alpha", "_c", "_right", "_a", "_a1", "_am1")
+
+    def __init__(self, scheme: SchemeId, alpha: float, c: AlphaConstants) -> None:
+        self._alpha = alpha
+        self._c = c
+        self._right = scheme in _RIGHT_FAMILY
+        self._a = _NeumaierSum()
+        self._a1 = _NeumaierSum()
+        self._am1 = _NeumaierSum()
+
+    def advance(
+        self, m: int
+    ) -> tuple[Optional[float], Optional[float], Optional[float]]:
+        k = float(m - 1)
+        c = self._c
+        if m <= _ASYM_N:
+            self._a.add(k**-self._alpha)
+            self._a1.add(k ** (-1.0 - self._alpha))
+            self._am1.add(k ** (1.0 - self._alpha))
+            return (
+                self._a.value - c.zeta_a,
+                self._a1.value - c.zeta_ap1,
+                self._am1.value - c.zeta_am1,
+            )
+        if not self._right:
+            return None, None, None
+        self._a1.add(k ** (-1.0 - self._alpha))
+        return None, self._a1.value - c.zeta_ap1, None
+
+
+def _far_field_splits(n: int, width: int) -> dict[int, tuple[int, int]]:
+    """Dyadic splits of the grid ``[0, n]`` for the far-field convolution.
+
+    Maps the midpoint ``mid`` of every node ``[lo, hi)`` longer than
+    ``width`` to ``(lo, hi)``.  Leaves are at most ``width`` long, so every
+    pair of grid points at least ``width`` apart is split by exactly one
+    node, and no two nodes share a midpoint.
+    """
+    splits: dict[int, tuple[int, int]] = {}
+    stack = [(0, n + 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo > width:
+            mid = (lo + hi) // 2
+            splits[mid] = (lo, hi)
+            stack += [(lo, mid), (mid, hi)]
+    return splits
+
+
+def _add_far_field(
+    far: np.ndarray, u: np.ndarray, kernel: np.ndarray, lo: int, mid: int, hi: int, width: int
+) -> None:
+    """Add ``sum_{j in [lo, mid)} kernel[m - j] * u[j]`` to ``far[m]`` for ``m in [mid, hi)``.
+
+    ``kernel`` is zero below lag ``width``, so only steps ``m >= lo + width``
+    receive anything.  The linear product of ``u[lo:mid]`` and
+    ``kernel[:hi - lo]`` ends at index ``hi - lo + (mid - lo) - 2``, so a
+    cyclic one of length at least ``hi - lo`` wraps only onto indices below
+    ``mid - lo`` and leaves ``[mid, hi)`` exact.
+    """
+    size = hi - lo
+    nfft = next_fast_len(size, real=True)
+    spec = rfft(u[lo:mid], nfft) * rfft(kernel[:size], nfft)
+    start = max(mid, lo + width)
+    far[start:hi] += irfft(spec, nfft)[start - lo : size]
+
+
 def default_start_mode(scheme: SchemeId) -> StartMode:
     """Starting formula that preserves each scheme's nominal order.
 
@@ -241,6 +337,17 @@ def solve(
 ) -> SolveResult:
     """March the relaxation equation across ``n`` uniform steps.
 
+    Each step's history sum ``sum_{k=1..m} lambda_k * u_{m-k}`` is split at
+    lag ``_NEAR_FIELD`` (4096).  The near lags are one direct dot product
+    per step.  The far lags come from a dyadic divide-and-conquer over the
+    grid: once the left half ``[lo, mid)`` of a node is marched, one
+    ``rfft``/``irfft`` product adds its far-lag contribution to every step
+    of ``[mid, hi)``.  The cost is O(n * _NEAR_FIELD) direct work plus
+    O(n log^2 n) FFT work, and the march stays causal for any ``D``.  For
+    ``n < _NEAR_FIELD`` no far lag exists and the result is the plain march
+    bit for bit; beyond it the far-field sums differ from the direct ones
+    only by FFT rounding.
+
     Args:
         problem: The initial-value problem.
         scheme: Weight stencil standing in for the fractional derivative.
@@ -272,22 +379,26 @@ def solve(
     u[1] = first_step(problem, h, mode)
     diverged = not math.isfinite(u[1]) or abs(u[1]) > _DIVERGENCE_LIMIT
 
+    # far[m] collects sum_{k >= width} gen_lam[k] * u[m-k], block by block,
+    # through far_kernel: gen_lam with its first `width` lags zeroed.
+    width = _NEAR_FIELD
+    splits = _far_field_splits(n, width)
+    far = np.zeros(n + 1)
+    far_kernel = np.zeros(n + 1)
+
     gen_lam: Optional[np.ndarray] = None
     if n > _SMALL_M:
         gen_lam = -_generic_raw_weights(scheme, alpha, n, c) / norm
         gen_lam[0] = -gen_lam[0]
+        far_kernel[width:] = gen_lam[width:]
 
-    # Partial sums over k^(-s) for k = 1 .. m-1, stepped alongside m.
-    sum_a = _NeumaierSum()
-    sum_a1 = _NeumaierSum()
-    sum_am1 = _NeumaierSum()
-
+    sums = _TailSums(scheme, alpha, c)
     forcing = problem.forcing
     for m in range(2, n + 1):
-        k = float(m - 1)
-        sum_a.add(k**-alpha)
-        sum_a1.add(k ** (-1.0 - alpha))
-        sum_am1.add(k ** (1.0 - alpha))
+        split = splits.get(m)
+        if split is not None:
+            _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
+        s_a, s_a1, s_am1 = sums.advance(m)
         if m <= _SMALL_M:
             lam = normalized_lambda(build_weights(scheme, alpha, m))
             lam0 = lam[0]
@@ -295,10 +406,11 @@ def solve(
         else:
             assert gen_lam is not None
             lam0 = gen_lam[0]
-            history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
-            s_a = sum_a.value - c.zeta_a
-            s_a1 = sum_a1.value - c.zeta_ap1
-            s_am1 = sum_am1.value - c.zeta_am1
+            if m < width:
+                history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
+            else:
+                near = float(np.dot(gen_lam[1:width], u[m - 1 : m - width : -1]))
+                history = near + far[m]
             for idx, w_true in _true_tail_weights(scheme, alpha, m, s_a, s_a1, s_am1):
                 history += (-(w_true / norm) - gen_lam[idx]) * u[m - idx]
         den = lam0 + d_ha
@@ -343,21 +455,13 @@ def stability_check(
     alpha = problem.alpha
     c = alpha_constants(alpha)
     norm = scheme_norm(scheme, alpha)
-    sum_a = _NeumaierSum()
-    sum_a1 = _NeumaierSum()
-    sum_am1 = _NeumaierSum()
+    sums = _TailSums(scheme, alpha, c)
     lower = math.inf
     for m in range(2, max(n, 2) + 1):
-        k = float(m - 1)
-        sum_a.add(k**-alpha)
-        sum_a1.add(k ** (-1.0 - alpha))
-        sum_am1.add(k ** (1.0 - alpha))
+        s_a, s_a1, s_am1 = sums.advance(m)
         if m <= _SMALL_M:
             lam_last = float(normalized_lambda(build_weights(scheme, alpha, m))[m])
         else:
-            s_a = sum_a.value - c.zeta_a
-            s_a1 = sum_a1.value - c.zeta_ap1
-            s_am1 = sum_am1.value - c.zeta_am1
             tails = _true_tail_weights(scheme, alpha, m, s_a, s_a1, s_am1)
             lam_last = next(-w / norm for idx, w in tails if idx == m)
         lower = min(lower, m**alpha * lam_last)

@@ -5,6 +5,7 @@ reimplementation that rebuilds the full stencil every step; benchmark error
 levels are pinned against independently tabulated reference values.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from caputofd import (
     solve,
     stability_check,
 )
+from caputofd import relaxation
 from caputofd.caputo import caputo_quadrature
 
 ALL_SCHEMES = list(SchemeId)
@@ -44,6 +46,12 @@ HIGH_ORDER = [
     SchemeId.Right2mAlpha,
     SchemeId.Right3mAlpha,
 ]
+
+#: Near-field widths the far-field tests run under: the solver's default,
+#: which leaves these short solves on the plain march, and 16, which sends
+#: every lag from 16 on through the FFT far field.
+DEFAULT_NEAR_FIELD = relaxation._NEAR_FIELD
+NEAR_FIELDS = [DEFAULT_NEAR_FIELD, 16]
 
 # E_{1,1.5}(1), mpmath mp.dps=40
 ML_ONE_ONEHALF_AT_1 = 2.290698252303238
@@ -169,8 +177,18 @@ class TestFirstStep:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
-    def test_matches_stepwise_rebuild(self, scheme):
+    @pytest.mark.parametrize(
+        "scheme,near_field",
+        [
+            pytest.param(
+                s, w, id=s.name if w == DEFAULT_NEAR_FIELD else f"{s.name}-near{w}"
+            )
+            for w in NEAR_FIELDS
+            for s in ALL_SCHEMES
+        ],
+    )
+    def test_matches_stepwise_rebuild(self, scheme, near_field, monkeypatch):
+        monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
         problem = equation_catalog(0.5)[1]
         start = default_start_mode(scheme)
         for n in (7, 80):  # one below, one above the series crossover
@@ -279,22 +297,38 @@ class TestSolve:
         finer = solve(problem, SchemeId.Mid2mAlpha, 160)
         assert finer.max_error < result.max_error
 
-    def test_strong_negative_damping_magnitude(self):
+    def test_strong_negative_damping_magnitude(self, monkeypatch):
         # Heavily negative damping destroys the solution without tripping
         # the overflow guard; the trajectory is reported as-is.
         problem = equation_catalog(0.5, D=-7.0)[3]
-        result = solve(problem, SchemeId.L1, 320)
-        peak = float(np.max(np.abs(result.u)))
-        assert 6.7e14 < peak < 6.7e18
-        assert not result.diverged
-        assert result.max_error > 1e14
+        for near_field in NEAR_FIELDS:
+            monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
+            result = solve(problem, SchemeId.L1, 320)
+            peak = float(np.max(np.abs(result.u)))
+            assert 6.7e14 < peak < 6.7e18
+            assert not result.diverged
+            assert result.max_error > 1e14
 
-    def test_overflow_flags_divergence(self):
+    def test_overflow_flags_divergence(self, monkeypatch):
         problem = equation_catalog(0.5, D=-7.0)[3]
-        result = solve(problem, SchemeId.L1, 40)
-        assert result.diverged
-        assert float(np.max(np.abs(result.u))) > 1e30
-        assert len(result.u) == 41  # the march still completed
+        for near_field in NEAR_FIELDS:
+            monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
+            result = solve(problem, SchemeId.L1, 40)
+            assert result.diverged
+            assert float(np.max(np.abs(result.u))) > 1e30
+            assert len(result.u) == 41  # the march still completed
+
+    def test_far_field_leaves_no_reference_cycles(self):
+        # A cycle would keep every array of the solve alive until the
+        # collector next runs, which shows as peak memory on long solves.
+        problem = RelaxationProblem(alpha=0.5, D=1.0, forcing=lambda x: 1.0, y0=0.0)
+        gc.collect()
+        gc.disable()
+        try:
+            solve(problem, SchemeId.L1, DEFAULT_NEAR_FIELD + 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
