@@ -27,7 +27,16 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .specfun import alpha_constants, mittag_leffler_1
+from .specfun import (
+    _BLOCK_POINTS,
+    _BLOCK_TERMS,
+    _accumulate,
+    _elementwise,
+    _fsum_points,
+    _libm,
+    alpha_constants,
+    mittag_leffler_1,
+)
 from .schemes import WeightVector
 
 __all__ = [
@@ -120,54 +129,102 @@ def sample_path(f, x: float, n: int) -> SampledPath:
     return SampledPath(x=x, n=n, values=np.asarray(fn(ts), dtype=float))
 
 
-def exact_caputo_power(p: float, alpha: float, x: float) -> float:
+def _check_nonnegative(x: np.ndarray) -> None:
+    if (x < 0.0).any():
+        raise ValueError(f"negative evaluation point x={float(x[x < 0.0][0])!r}")
+
+
+@_elementwise
+def exact_caputo_power(p: float, alpha: float, x):
     """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) * x^(p-alpha).
 
     Restricted to ``p >= 1`` so the first derivative stays bounded at the
-    origin and the derivative at ``x = 0`` is zero.
+    origin and the derivative at ``x = 0`` is zero.  ``x`` is a point or an
+    array of points; arrays give the scalar values bit for bit.
     """
     if p < 1.0:
         raise ValueError(f"power rule restricted to p >= 1, got p={p!r}")
-    if x < 0.0:
-        raise ValueError(f"negative evaluation point x={x!r}")
+    _check_nonnegative(x)
     c = alpha_constants(alpha)
-    return math.gamma(p + 1.0) / math.gamma(p + 1.0 - c.alpha) * x ** (p - c.alpha)
+    return math.gamma(p + 1.0) / math.gamma(p + 1.0 - c.alpha) * _libm(pow, x, p - c.alpha)
 
 
-def exact_caputo_exp(alpha: float, x: float) -> float:
-    """Caputo derivative of e^t: x^(1-alpha) * E_{1,2-alpha}(x)."""
+@_elementwise
+def exact_caputo_exp(alpha: float, x):
+    """Caputo derivative of e^t: x^(1-alpha) * E_{1,2-alpha}(x).
+
+    ``x`` is a point or an array of points; an array costs one
+    :func:`mittag_leffler_1` call and gives the scalar values bit for bit.
+    """
     c = alpha_constants(alpha)
-    if x < 0.0:
-        raise ValueError(f"negative evaluation point x={x!r}")
-    if x == 0.0:
-        return 0.0
-    return x ** (1.0 - alpha) * mittag_leffler_1(2.0 - c.alpha, x).real
+    _check_nonnegative(x)
+    # At x = 0 the power is +0.0, so the product is the exact zero.
+    return _libm(pow, x, 1.0 - alpha) * mittag_leffler_1(2.0 - c.alpha, x).real
 
 
-def exact_caputo_cos2pix(alpha: float, x: float) -> float:
+@_elementwise
+def exact_caputo_cos2pix(alpha: float, x):
     """Caputo derivative of cos(2*pi*t), by its real power series.
 
     Sums ``sum_{k>=1} (-4 pi^2)^k x^(2k-alpha) / Gamma(2k+1-alpha)`` with the
     ratio recurrence, truncating once a term drops below 1e-16 of the running
     magnitude.  The terms initially grow (the series is alternating with
     ratio ~ (2 pi x)^2 / (2k)^2), which is why the domain stops at x = 2.
+
+    ``x`` is a point or an array of points.  An array is summed in blocks
+    of points, ``_BLOCK_TERMS`` terms per pass; each point stops at its own
+    truncation point and its terms are added by ``math.fsum``, so array
+    values equal scalar calls bit for bit.
     """
     c = alpha_constants(alpha)
-    if not 0.0 <= x <= 2.0:
-        raise ValueError(f"series evaluation restricted to [0, 2], got x={x!r}")
-    if x == 0.0:
-        return 0.0
-    ratio = -4.0 * math.pi**2 * x * x
-    term = -4.0 * math.pi**2 * x ** (2.0 - alpha) / math.gamma(3.0 - c.alpha)
-    terms = [term]
-    scale = abs(term)
-    for k in range(1, 300):
-        term *= ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
-        terms.append(term)
-        scale = max(scale, abs(term))
-        if abs(term) <= 1e-16 * scale:
+    outside = ~((0.0 <= x) & (x <= 2.0))
+    if outside.any():
+        raise ValueError(
+            f"series evaluation restricted to [0, 2], got x={float(x[outside][0])!r}"
+        )
+    out = np.empty(x.size)
+    for lo in range(0, x.size, _BLOCK_POINTS):
+        block = x[lo : lo + _BLOCK_POINTS]
+        out[lo : lo + block.size] = _cos2pix_block(c.alpha, block)
+    out[x == 0.0] = 0.0
+    return out
+
+
+def _cos2pix_block(alpha: float, x: np.ndarray) -> np.ndarray:
+    # Row k of ``terms`` holds term k of every point.  Row 0 carries the
+    # state in, and multiplying the rows r_k out from the top repeats the
+    # scalar recurrence term *= r_k.  Row 0 of ``stop`` marks points stopped
+    # in an earlier pass; a term counts while no stop lies above it, and the
+    # stopping term itself counts, as in the scalar loop.  Terms that do not
+    # count are zero, which leaves each point's fsum unchanged, and rows of
+    # zeros past the last stop are dropped.
+    neg_4pi2 = -4.0 * math.pi**2
+    ratio = neg_4pi2 * x * x
+    term = neg_4pi2 * _libm(pow, x, 2.0 - alpha) / math.gamma(3.0 - alpha)
+    scale = np.abs(term)
+    live = np.ones(x.size, dtype=bool)
+    kept = [term]
+    for k0 in range(1, 300, _BLOCK_TERMS):
+        k = np.arange(k0, min(k0 + _BLOCK_TERMS, 300))[:, None]
+        ratios = ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
+        terms = _accumulate(np.multiply, np.concatenate((term[None], ratios)))
+        mags = np.abs(terms)
+        scales = mags.copy()
+        scales[0] = scale
+        scales = _accumulate(np.maximum, scales)
+        stop = mags <= 1e-16 * scales
+        stop[0] = ~live
+        stopped = _accumulate(np.logical_or, stop)
+        kept.append(np.where(stopped[:-1], 0.0, terms[1:]))
+        live = ~stopped[-1]
+        if not live.any():
             break
-    return math.fsum(terms)
+        term, scale = terms[-1], scales[-1]
+    rows = np.vstack(kept)
+    used = rows.any(axis=1)
+    used[0] = True
+    rows = rows[: np.flatnonzero(used)[-1] + 1]
+    return _fsum_points(rows)
 
 
 def apply_stencil(wv: WeightVector, path: SampledPath) -> float:

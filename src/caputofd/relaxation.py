@@ -51,7 +51,7 @@ from .schemes import (
     normalized_lambda,
     scheme_norm,
 )
-from .specfun import AlphaConstants, alpha_constants
+from .specfun import AlphaConstants, _elementwise, _fsum_points, _libm, alpha_constants
 
 __all__ = [
     "NS_LABELS",
@@ -115,7 +115,11 @@ class RelaxationProblem:
         alpha: Fractional order of the derivative, in (0, 1).
         D: Damping coefficient; negative values are admitted (and may
             produce divergent numerical trajectories).
-        forcing: Right-hand side ``F`` as a scalar callable.
+        forcing: Right-hand side ``F``.  It takes a float or a 1-D float
+            array of points and returns a value of the same shape; a
+            scalar return is broadcast over the points.  :func:`solve`
+            calls it once on the whole grid ``x_2 .. x_n`` and once on the
+            scalar ``h`` (the implicit start), so it must accept both.
         y0: Initial value y(0).
         x_end: Right endpoint of the integration interval, > 0.
         exact: Optional closed-form solution used for error reporting;
@@ -127,7 +131,7 @@ class RelaxationProblem:
 
     alpha: float
     D: float
-    forcing: Callable[[float], float]
+    forcing: Callable
     y0: float
     x_end: float = 1.0
     exact: Optional[Callable] = None
@@ -329,6 +333,23 @@ def first_step(problem: RelaxationProblem, h: float, mode: StartMode) -> float:
     return (problem.y0 + g * ha * problem.forcing(h)) / den
 
 
+def _forcing_on_grid(forcing: Callable, h: float, n: int) -> list[float]:
+    """``forcing`` evaluated once on ``x_m = m*h`` for ``m = 2 .. n``.
+
+    Raises:
+        ValueError: if its result does not broadcast to the grid.
+    """
+    xs = np.arange(2, n + 1) * h
+    values = forcing(xs)
+    try:
+        return np.broadcast_to(np.asarray(values, dtype=float), xs.shape).tolist()
+    except ValueError as exc:
+        raise ValueError(
+            "forcing must return a scalar or an array shaped like its argument; "
+            f"got shape {np.shape(values)} for {xs.size} grid points"
+        ) from exc
+
+
 def solve(
     problem: RelaxationProblem,
     scheme: SchemeId,
@@ -346,7 +367,8 @@ def solve(
     O(n log^2 n) FFT work, and the march stays causal for any ``D``.  For
     ``n < _NEAR_FIELD`` no far lag exists and the result is the plain march
     bit for bit; beyond it the far-field sums differ from the direct ones
-    only by FFT rounding.
+    only by FFT rounding.  The forcing is evaluated once, on the whole grid,
+    before the march.
 
     Args:
         problem: The initial-value problem.
@@ -361,7 +383,8 @@ def solve(
         march, so blow-up profiles remain inspectable.
 
     Raises:
-        ValueError: If ``n < 2``.
+        ValueError: If ``n < 2``, or the forcing's result on the grid does
+            not broadcast to it.
         SingularDenominatorError: If ``lambda_0 + D*h^alpha = 0``.
     """
     if n < 2:
@@ -393,7 +416,7 @@ def solve(
         far_kernel[width:] = gen_lam[width:]
 
     sums = _TailSums(scheme, alpha, c)
-    forcing = problem.forcing
+    forcing = _forcing_on_grid(problem.forcing, h, n)
     for m in range(2, n + 1):
         split = splits.get(m)
         if split is not None:
@@ -418,7 +441,7 @@ def solve(
             raise SingularDenominatorError(
                 f"lambda_0 + D*h^alpha vanished (lambda_0={lam0!r}, D*h^alpha={d_ha!r})"
             )
-        value = (ha * forcing(m * h) + history) / den
+        value = (ha * forcing[m - 2] + history) / den
         u[m] = value
         if not diverged and (not math.isfinite(value) or abs(value) > _DIVERGENCE_LIMIT):
             diverged = True
@@ -483,25 +506,31 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
       family used to probe negative-damping behaviour.
 
     Each forcing is assembled as exact-Caputo-derivative + D*solution, so
-    the listed function is the exact solution by construction.
+    the listed function is the exact solution by construction.  The
+    forcings take a point or an array of points, and an array gives the
+    scalar values bit for bit.
     """
     alpha_constants(alpha)  # validates the order once, loudly
 
     def poly(x):
         return 1.0 + x * (1.0 + x * (1.0 + x * (1.0 + x)))
 
-    def poly_forcing(x: float) -> float:
-        frac = math.fsum(exact_caputo_power(k, alpha, x) for k in range(1, 5))
-        return frac + poly(float(x))
+    @_elementwise
+    def poly_forcing(x):
+        powers = np.vstack([exact_caputo_power(k, alpha, x) for k in range(1, 5)])
+        return _fsum_points(powers) + poly(x)
 
-    def exp_unit_forcing(x: float) -> float:
-        return exact_caputo_exp(alpha, x) + math.exp(x)
+    @_elementwise
+    def exp_unit_forcing(x):
+        return exact_caputo_exp(alpha, x) + _libm(math.exp, x)
 
-    def cos_forcing(x: float) -> float:
-        return exact_caputo_cos2pix(alpha, x) + math.cos(2.0 * math.pi * x)
+    @_elementwise
+    def cos_forcing(x):
+        return exact_caputo_cos2pix(alpha, x) + _libm(math.cos, 2.0 * math.pi * x)
 
-    def exp_damped_forcing(x: float) -> float:
-        return exact_caputo_exp(alpha, x) + D * math.exp(x)
+    @_elementwise
+    def exp_damped_forcing(x):
+        return exact_caputo_exp(alpha, x) + D * _libm(math.exp, x)
 
     return [
         RelaxationProblem(

@@ -1,10 +1,13 @@
-"""Scalar special functions used by the weight constructions.
+"""Special functions used by the weight constructions and the forcings.
 
-Everything in this module is plain-float and deterministic: the gamma
-function (delegated to :func:`math.gamma`), the Riemann zeta function on
-the real interval ``(-4, 2)``, the two-parameter Mittag-Leffler function
-``E_{1,beta}`` for complex arguments, and a per-order cache of the handful
-of zeta/gamma constants that every weight builder needs.
+Everything in this module is deterministic: the gamma function (delegated
+to :func:`math.gamma`), the Riemann zeta function on the real interval
+``(-4, 2)``, the two-parameter Mittag-Leffler function ``E_{1,beta}`` for
+complex arguments, and a per-order cache of the handful of zeta/gamma
+constants that every weight builder needs.  ``gamma`` and ``zeta`` take
+plain floats; :func:`mittag_leffler_1` takes a scalar or an array of
+arguments and evaluates an array in one series loop, with results equal
+bit for bit to scalar calls.
 
 The zeta evaluation uses the alternating (eta) series accelerated with
 Chebyshev-polynomial coefficients, which converges geometrically on
@@ -18,14 +21,82 @@ once, exactly, as rationals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 
 class NonConvergenceError(RuntimeError):
     """A series failed to meet its tolerance within the term cap."""
+
+
+def _elementwise(fn):
+    """Let ``fn``, written for a 1-D array in its last positional argument,
+    take any scalar or array there.
+
+    The points reach ``fn`` flattened to 1-D (float, or complex when
+    complex); the result comes back in the argument's shape, and a scalar
+    argument gets a Python scalar back.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        *head, x = args
+        arr = np.asarray(x)
+        arr = arr.astype(np.result_type(arr, np.float64), copy=False)
+        out = np.asarray(fn(*head, arr.reshape(-1), **kwargs)).reshape(arr.shape)
+        return out.item() if out.ndim == 0 else out
+
+    return wrapper
+
+
+#: Points per block and terms per pass of the vectorized series loops.
+#: Together they bound the term matrices of one pass (17 x 1024 floats), so
+#: a whole-grid call needs little more memory than its result.
+_BLOCK_POINTS = 1024
+_BLOCK_TERMS = 16
+
+
+def _accumulate(op, rows: np.ndarray) -> np.ndarray:
+    """``op.accumulate(rows, axis=0)``, in place when ``rows`` is wide.
+
+    Each row becomes ``op(previous row, row)`` in order, which is what the
+    scalar recurrences do one step at a time.  numpy's accumulate down the
+    rows of a wide matrix is several times slower than a Python loop of
+    in-place row operations; below a few hundred columns it is faster.
+    """
+    if rows.shape[1] < 256:
+        return op.accumulate(rows, axis=0)
+    for k in range(1, rows.shape[0]):
+        op(rows[k - 1], rows[k], out=rows[k])
+    return rows
+
+
+def _libm(fn, xs: np.ndarray, *args) -> np.ndarray:
+    """``fn(x, *args)`` for each element of ``xs``, as Python floats.
+
+    Powers, exponentials and cosines go through the C library one element
+    at a time, as a scalar call would; numpy's vectorized ``power``,
+    ``exp`` and ``cos`` may differ from it in the last bit.
+    """
+    out = np.empty(xs.size)
+    for lo in range(0, xs.size, _BLOCK_POINTS):
+        block = xs[lo : lo + _BLOCK_POINTS].tolist()
+        out[lo : lo + len(block)] = [fn(v, *args) for v in block]
+    return out
+
+
+def _fsum_points(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` down each column of ``terms``, one column per point."""
+    out = np.empty(terms.shape[1])
+    for lo in range(0, out.size, _BLOCK_POINTS):
+        cols = terms[:, lo : lo + _BLOCK_POINTS].T.tolist()
+        out[lo : lo + len(cols)] = [math.fsum(col) for col in cols]
+    return out
 
 
 def gamma(x: float) -> float:
@@ -105,7 +176,8 @@ def zeta(s: float) -> float:
     )
 
 
-def mittag_leffler_1(beta: float, z: complex, *, max_terms: int = 500) -> complex:
+@_elementwise
+def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
     """Two-parameter Mittag-Leffler function ``E_{1,beta}(z)``.
 
     Computed from the defining power series ``sum_k z^k / Gamma(k + beta)``
@@ -113,35 +185,74 @@ def mittag_leffler_1(beta: float, z: complex, *, max_terms: int = 500) -> comple
     term falls below ``1e-18`` of the largest partial sum seen, which keeps
     the result at full double precision for moderate ``|z|``.
 
+    An array of arguments is summed in blocks of points, ``_BLOCK_TERMS``
+    terms per pass.  Each point stops at its own truncation point.  Real
+    arguments do the float operations of the Python-complex series and
+    match it bit for bit; complex ones use numpy's complex arithmetic and
+    match it to rounding.
+
     Args:
         beta: second parameter, must be positive.
-        z: complex argument with ``|z| <= 50``.
+        z: complex argument with ``|z| <= 50``, or an array of them.
 
     Returns:
-        The (complex) series value; take ``.real`` for real arguments.
+        The (complex) series value, a complex array for array ``z``; take
+        ``.real`` for real arguments.
 
     Raises:
-        ValueError: if ``beta <= 0`` or ``|z| > 50``.
+        ValueError: if ``beta <= 0`` or any ``|z| > 50``.
         NonConvergenceError: if the term cap is hit before the tolerance.
     """
     if beta <= 0.0:
         raise ValueError(f"mittag_leffler_1 needs beta > 0, got {beta!r}")
-    zc = complex(z)
-    if abs(zc) > 50.0:
-        raise ValueError(f"mittag_leffler_1 restricted to |z| <= 50, got |z|={abs(zc)!r}")
-    term = complex(1.0 / gamma(beta))
-    total = term
-    peak = abs(total)
-    for k in range(1, max_terms + 1):
-        term *= zc / (k - 1.0 + beta)
-        total += term
-        mag = abs(total)
-        if mag > peak:
-            peak = mag
-        if abs(term) <= 1e-18 * max(peak, 1e-300):
-            return total
+    mag = np.abs(z)
+    if (mag > 50.0).any():
+        raise ValueError(
+            f"mittag_leffler_1 restricted to |z| <= 50, got |z|={float(mag[mag > 50.0][0])!r}"
+        )
+    # Term k multiplies term k-1 by z / d[k-1].
+    d = np.arange(max_terms) + beta
+    out = np.empty(z.size, dtype=complex)
+    for lo in range(0, z.size, _BLOCK_POINTS):
+        block = z[lo : lo + _BLOCK_POINTS]
+        out[lo : lo + block.size] = _mittag_leffler_block(beta, block, d)
+    return out
+
+
+def _mittag_leffler_block(beta: float, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # Row k of ``terms`` holds term k of every point still summing.  Row 0
+    # carries the state in, and multiplying the rows z/d out from the top
+    # repeats the scalar recurrence term *= z/d; the partial sums and their
+    # running peak accumulate down the rows the same way.  A point that
+    # meets the test is written out and dropped.  Real arguments stay real:
+    # with a zero imaginary part Python's complex operations round exactly
+    # as the real ones, and abs() is exact.
+    out = np.empty(z.size, dtype=complex)
+    todo = np.arange(z.size)
+    term = np.full(z.size, 1.0 / gamma(beta), dtype=z.dtype)
+    total = term.copy()
+    peak = np.abs(total)
+    for lo in range(0, d.size, _BLOCK_TERMS):
+        terms = np.concatenate((term[None], z[todo] / d[lo : lo + _BLOCK_TERMS, None]))
+        terms = _accumulate(np.multiply, terms)
+        sums = terms.copy()
+        sums[0] = total
+        sums = _accumulate(np.add, sums)
+        peaks = np.abs(sums)
+        peaks[0] = peak
+        peaks = _accumulate(np.fmax, peaks)
+        done = np.abs(terms[1:]) <= 1e-18 * np.maximum(peaks[1:], 1e-300)
+        stop = done.argmax(axis=0)
+        hit = done[stop, np.arange(todo.size)]
+        out[todo[hit]] = sums[stop[hit] + 1, hit]
+        keep = ~hit
+        todo = todo[keep]
+        if not todo.size:
+            return out
+        term, total, peak = terms[-1, keep], sums[-1, keep], peaks[-1, keep]
     raise NonConvergenceError(
-        f"mittag_leffler_1(beta={beta!r}, z={z!r}) did not converge in {max_terms} terms"
+        f"mittag_leffler_1(beta={beta!r}, z={z[todo[0]].item()!r}) "
+        f"did not converge in {d.size} terms"
     )
 
 

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,9 +197,9 @@ class TestConvergenceLadder:
         alpha = 0.5
 
         def forcing(x):
-            if x < 0.005:
+            if np.min(x) < 0.005:
                 raise ValueError("forcing not defined this close to zero")
-            return 1.0
+            return np.ones_like(x)
 
         prob = RelaxationProblem(
             alpha=alpha, D=1.0, forcing=forcing, y0=0.0,

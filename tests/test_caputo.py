@@ -120,6 +120,79 @@ def test_cos_series_matches_complex_form(a, x):
     assert exact_caputo_cos2pix(a, x) == pytest.approx(complex_form, abs=1e-10)
 
 
+#: 4097 points of [0, 1], both ends included; more than two series blocks.
+UNIT_GRID = np.linspace(0.0, 1.0, 4097)
+
+EXACT_DERIVATIVES = {
+    "power1": lambda a, x: exact_caputo_power(1, a, x),
+    "power2.5": lambda a, x: exact_caputo_power(2.5, a, x),
+    "exp": exact_caputo_exp,
+    "cos2pix": exact_caputo_cos2pix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_DERIVATIVES))
+def test_exact_derivative_array_matches_scalar(name):
+    """A grid of points gives the scalar values bit for bit."""
+    fn = EXACT_DERIVATIVES[name]
+    got = fn(0.45, UNIT_GRID)
+    assert got.shape == UNIT_GRID.shape
+    assert np.array_equal(got, [fn(0.45, x) for x in UNIT_GRID.tolist()])
+    assert isinstance(fn(0.45, 0.5), float)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_exact_derivative_powers_through_libm(alpha):
+    """Powers are Python float powers, not numpy's, which may differ in the
+    last bit."""
+    for p in (1, 2.5, 4):
+        coef = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
+        expected = coef * np.array([x ** (p - alpha) for x in UNIT_GRID.tolist()])
+        assert np.array_equal(exact_caputo_power(p, alpha, UNIT_GRID), expected)
+    scale = np.array([x ** (1.0 - alpha) for x in UNIT_GRID.tolist()])
+    expected = scale * mittag_leffler_1(2.0 - alpha, UNIT_GRID).real
+    assert np.array_equal(exact_caputo_exp(alpha, UNIT_GRID), expected)
+
+
+def _scalar_cos_series(alpha, x):
+    """The term loop of exact_caputo_cos2pix for one point, in Python floats."""
+    if x == 0.0:
+        return 0.0
+    ratio = -4.0 * math.pi**2 * x * x
+    term = -4.0 * math.pi**2 * x ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+    terms = [term]
+    scale = abs(term)
+    for k in range(1, 300):
+        term *= ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
+        terms.append(term)
+        scale = max(scale, abs(term))
+        if abs(term) <= 1e-16 * scale:
+            break
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_cos_series_array_matches_scalar_series(alpha):
+    """The whole domain [0, 2] gives the Python-float series bit for bit."""
+    grid = np.linspace(0.0, 2.0, 4097)
+    expected = [_scalar_cos_series(alpha, x) for x in grid.tolist()]
+    assert np.array_equal(exact_caputo_cos2pix(alpha, grid), expected)
+
+
+@pytest.mark.parametrize(
+    "name,bad",
+    [("power1", -0.25), ("exp", -0.25), ("cos2pix", -0.25), ("cos2pix", 2.25)],
+)
+def test_exact_derivative_array_validation(name, bad):
+    """One point out of the domain raises the scalar call's error."""
+    fn = EXACT_DERIVATIVES[name]
+    with pytest.raises(ValueError) as scalar:
+        fn(0.5, bad)
+    with pytest.raises(ValueError) as array:
+        fn(0.5, np.array([0.5, bad, 0.75]))
+    assert str(array.value) == str(scalar.value)
+
+
 def test_sample_path_layout():
     f = function_catalog()["t2"]
     p = sample_path(f, 1.0, 4)

@@ -23,6 +23,8 @@ from caputofd import (
     build_weights,
     default_start_mode,
     equation_catalog,
+    exact_caputo_cos2pix,
+    exact_caputo_exp,
     exact_caputo_power,
     first_step,
     normalized_lambda,
@@ -114,6 +116,35 @@ class TestCatalog:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             equation_catalog(1.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_forcing_on_array_matches_scalar(self, alpha):
+        """A grid of points gives the scalar values bit for bit."""
+        grid = np.linspace(0.0, 1.0, 4097)
+        for problem in equation_catalog(alpha):
+            got = problem.forcing(grid)
+            expected = [problem.forcing(x) for x in grid.tolist()]
+            assert np.array_equal(got, expected), problem.label
+            assert isinstance(problem.forcing(0.5), float)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_forcing_matches_python_float_formulas(self, alpha):
+        """Each forcing adds its solution's terms as the scalar formulas did:
+        libm exp and cos per point, and math.fsum over problem I's powers."""
+        grid = np.linspace(0.0, 1.0, 4097)
+        points = grid.tolist()
+        exp_part = np.array([math.exp(x) for x in points])
+        powers = [exact_caputo_power(k, alpha, grid).tolist() for k in range(1, 5)]
+        poly = 1.0 + grid * (1.0 + grid * (1.0 + grid * (1.0 + grid)))
+        expected = {
+            "I": np.array([math.fsum(terms) for terms in zip(*powers)]) + poly,
+            "II": exact_caputo_exp(alpha, grid) + exp_part,
+            "III": exact_caputo_cos2pix(alpha, grid)
+            + np.array([math.cos(2.0 * math.pi * x) for x in points]),
+            "exp": exact_caputo_exp(alpha, grid) - 2.5 * exp_part,
+        }
+        for problem in equation_catalog(alpha, D=-2.5):
+            assert np.array_equal(problem.forcing(grid), expected[problem.label])
 
 
 class TestProblemValidation:
@@ -329,6 +360,32 @@ class TestSolve:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_forcing_evaluated_once_on_grid(self):
+        shapes = []
+
+        def forcing(x):
+            shapes.append(np.shape(x))
+            return 1.0
+
+        problem = RelaxationProblem(alpha=0.5, D=1.0, forcing=forcing, y0=0.0)
+        solve(problem, SchemeId.L1, 50)
+        assert shapes == [(), (49,)]
+
+    def test_scalar_only_forcing_raises(self):
+        problem = RelaxationProblem(alpha=0.5, D=1.0, forcing=math.exp, y0=1.0)
+        with pytest.raises(TypeError):
+            solve(problem, SchemeId.L1, 16)
+
+    def test_forcing_shape_mismatch_raises(self):
+        problem = RelaxationProblem(
+            alpha=0.5,
+            D=1.0,
+            forcing=lambda x: np.ones(3) if np.ndim(x) else 1.0,
+            y0=0.0,
+        )
+        with pytest.raises(ValueError, match="shaped like its argument"):
+            solve(problem, SchemeId.L1, 16)
 
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
