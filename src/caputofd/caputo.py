@@ -28,9 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .specfun import (
-    _BLOCK_POINTS,
     _BLOCK_TERMS,
-    _accumulate,
     _elementwise,
     _fsum_points,
     _libm,
@@ -162,7 +160,7 @@ def exact_caputo_exp(alpha: float, x):
     return _libm(pow, x, 1.0 - alpha) * mittag_leffler_1(2.0 - c.alpha, x).real
 
 
-@_elementwise
+@_elementwise(blocked=True)
 def exact_caputo_cos2pix(alpha: float, x):
     """Caputo derivative of cos(2*pi*t), by its real power series.
 
@@ -176,21 +174,12 @@ def exact_caputo_cos2pix(alpha: float, x):
     truncation point and its terms are added by ``math.fsum``, so array
     values equal scalar calls bit for bit.
     """
-    c = alpha_constants(alpha)
+    alpha_constants(alpha)  # validates the order
     outside = ~((0.0 <= x) & (x <= 2.0))
     if outside.any():
         raise ValueError(
             f"series evaluation restricted to [0, 2], got x={float(x[outside][0])!r}"
         )
-    out = np.empty(x.size)
-    for lo in range(0, x.size, _BLOCK_POINTS):
-        block = x[lo : lo + _BLOCK_POINTS]
-        out[lo : lo + block.size] = _cos2pix_block(c.alpha, block)
-    out[x == 0.0] = 0.0
-    return out
-
-
-def _cos2pix_block(alpha: float, x: np.ndarray) -> np.ndarray:
     # Row k of ``terms`` holds term k of every point.  Row 0 carries the
     # state in, and multiplying the rows r_k out from the top repeats the
     # scalar recurrence term *= r_k.  Row 0 of ``stop`` marks points stopped
@@ -207,14 +196,14 @@ def _cos2pix_block(alpha: float, x: np.ndarray) -> np.ndarray:
     for k0 in range(1, 300, _BLOCK_TERMS):
         k = np.arange(k0, min(k0 + _BLOCK_TERMS, 300))[:, None]
         ratios = ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
-        terms = _accumulate(np.multiply, np.concatenate((term[None], ratios)))
+        terms = np.multiply.accumulate(np.concatenate((term[None], ratios)), axis=0)
         mags = np.abs(terms)
         scales = mags.copy()
         scales[0] = scale
-        scales = _accumulate(np.maximum, scales)
+        scales = np.maximum.accumulate(scales, axis=0)
         stop = mags <= 1e-16 * scales
         stop[0] = ~live
-        stopped = _accumulate(np.logical_or, stop)
+        stopped = np.logical_or.accumulate(stop, axis=0)
         kept.append(np.where(stopped[:-1], 0.0, terms[1:]))
         live = ~stopped[-1]
         if not live.any():
@@ -223,8 +212,9 @@ def _cos2pix_block(alpha: float, x: np.ndarray) -> np.ndarray:
     rows = np.vstack(kept)
     used = rows.any(axis=1)
     used[0] = True
-    rows = rows[: np.flatnonzero(used)[-1] + 1]
-    return _fsum_points(rows)
+    out = _fsum_points(rows[: np.flatnonzero(used)[-1] + 1])
+    out[x == 0.0] = 0.0
+    return out
 
 
 def apply_stencil(wv: WeightVector, path: SampledPath) -> float:

@@ -515,7 +515,7 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
     def poly(x):
         return 1.0 + x * (1.0 + x * (1.0 + x * (1.0 + x)))
 
-    @_elementwise
+    @_elementwise(blocked=True)
     def poly_forcing(x):
         powers = np.vstack([exact_caputo_power(k, alpha, x) for k in range(1, 5)])
         return _fsum_points(powers) + poly(x)

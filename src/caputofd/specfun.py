@@ -22,6 +22,7 @@ once, exactly, as rationals.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,21 +35,37 @@ class NonConvergenceError(RuntimeError):
     """A series failed to meet its tolerance within the term cap."""
 
 
-def _elementwise(fn):
-    """Let ``fn``, written for a 1-D array in its last positional argument,
-    take any scalar or array there.
+def _elementwise(fn=None, *, blocked: bool = False):
+    """Let ``fn``, written for a 1-D array in its last positional-or-keyword
+    parameter (the points), take any scalar or array there.
 
     The points reach ``fn`` flattened to 1-D (float, or complex when
     complex); the result comes back in the argument's shape, and a scalar
-    argument gets a Python scalar back.
+    argument gets a Python scalar back.  Arguments bind by name as in a
+    plain call.  With ``blocked`` the points go to ``fn`` in order, in
+    slices of ``_BLOCK_POINTS``, and the results are joined; series whose
+    working set grows with terms x points use it.
     """
+    if fn is None:
+        return functools.partial(_elementwise, blocked=blocked)
+    sig = inspect.signature(fn)
+    point = [
+        name for name, par in sig.parameters.items()
+        if par.kind is par.POSITIONAL_OR_KEYWORD
+    ][-1]
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        *head, x = args
-        arr = np.asarray(x)
+        bound = sig.bind(*args, **kwargs)
+        arr = np.asarray(bound.arguments[point])
         arr = arr.astype(np.result_type(arr, np.float64), copy=False)
-        out = np.asarray(fn(*head, arr.reshape(-1), **kwargs)).reshape(arr.shape)
+        flat = arr.reshape(-1)
+        step = _BLOCK_POINTS if blocked else max(flat.size, 1)
+        parts = []
+        for lo in range(0, max(flat.size, 1), step):
+            bound.arguments[point] = flat[lo : lo + step]
+            parts.append(np.asarray(fn(*bound.args, **bound.kwargs)))
+        out = np.concatenate(parts).reshape(arr.shape)
         return out.item() if out.ndim == 0 else out
 
     return wrapper
@@ -61,21 +78,6 @@ _BLOCK_POINTS = 1024
 _BLOCK_TERMS = 16
 
 
-def _accumulate(op, rows: np.ndarray) -> np.ndarray:
-    """``op.accumulate(rows, axis=0)``, in place when ``rows`` is wide.
-
-    Each row becomes ``op(previous row, row)`` in order, which is what the
-    scalar recurrences do one step at a time.  numpy's accumulate down the
-    rows of a wide matrix is several times slower than a Python loop of
-    in-place row operations; below a few hundred columns it is faster.
-    """
-    if rows.shape[1] < 256:
-        return op.accumulate(rows, axis=0)
-    for k in range(1, rows.shape[0]):
-        op(rows[k - 1], rows[k], out=rows[k])
-    return rows
-
-
 def _libm(fn, xs: np.ndarray, *args) -> np.ndarray:
     """``fn(x, *args)`` for each element of ``xs``, as Python floats.
 
@@ -83,20 +85,12 @@ def _libm(fn, xs: np.ndarray, *args) -> np.ndarray:
     at a time, as a scalar call would; numpy's vectorized ``power``,
     ``exp`` and ``cos`` may differ from it in the last bit.
     """
-    out = np.empty(xs.size)
-    for lo in range(0, xs.size, _BLOCK_POINTS):
-        block = xs[lo : lo + _BLOCK_POINTS].tolist()
-        out[lo : lo + len(block)] = [fn(v, *args) for v in block]
-    return out
+    return np.array([fn(v, *args) for v in xs.tolist()], dtype=float)
 
 
 def _fsum_points(terms: np.ndarray) -> np.ndarray:
     """``math.fsum`` down each column of ``terms``, one column per point."""
-    out = np.empty(terms.shape[1])
-    for lo in range(0, out.size, _BLOCK_POINTS):
-        cols = terms[:, lo : lo + _BLOCK_POINTS].T.tolist()
-        out[lo : lo + len(cols)] = [math.fsum(col) for col in cols]
-    return out
+    return np.array([math.fsum(col) for col in terms.T.tolist()], dtype=float)
 
 
 def gamma(x: float) -> float:
@@ -176,7 +170,7 @@ def zeta(s: float) -> float:
     )
 
 
-@_elementwise
+@_elementwise(blocked=True)
 def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
     """Two-parameter Mittag-Leffler function ``E_{1,beta}(z)``.
 
@@ -210,23 +204,14 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
         raise ValueError(
             f"mittag_leffler_1 restricted to |z| <= 50, got |z|={float(mag[mag > 50.0][0])!r}"
         )
-    # Term k multiplies term k-1 by z / d[k-1].
+    # Term k multiplies term k-1 by z / d[k-1].  Row k of ``terms`` holds
+    # term k of every point still summing.  Row 0 carries the state in, and
+    # multiplying the rows z/d out from the top repeats the scalar recurrence
+    # term *= z/d; the partial sums and their running peak accumulate down
+    # the rows the same way.  A point that meets the test is written out and
+    # dropped.  Real arguments stay real: with a zero imaginary part Python's
+    # complex operations round exactly as the real ones, and abs() is exact.
     d = np.arange(max_terms) + beta
-    out = np.empty(z.size, dtype=complex)
-    for lo in range(0, z.size, _BLOCK_POINTS):
-        block = z[lo : lo + _BLOCK_POINTS]
-        out[lo : lo + block.size] = _mittag_leffler_block(beta, block, d)
-    return out
-
-
-def _mittag_leffler_block(beta: float, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # Row k of ``terms`` holds term k of every point still summing.  Row 0
-    # carries the state in, and multiplying the rows z/d out from the top
-    # repeats the scalar recurrence term *= z/d; the partial sums and their
-    # running peak accumulate down the rows the same way.  A point that
-    # meets the test is written out and dropped.  Real arguments stay real:
-    # with a zero imaginary part Python's complex operations round exactly
-    # as the real ones, and abs() is exact.
     out = np.empty(z.size, dtype=complex)
     todo = np.arange(z.size)
     term = np.full(z.size, 1.0 / gamma(beta), dtype=z.dtype)
@@ -234,13 +219,13 @@ def _mittag_leffler_block(beta: float, z: np.ndarray, d: np.ndarray) -> np.ndarr
     peak = np.abs(total)
     for lo in range(0, d.size, _BLOCK_TERMS):
         terms = np.concatenate((term[None], z[todo] / d[lo : lo + _BLOCK_TERMS, None]))
-        terms = _accumulate(np.multiply, terms)
+        terms = np.multiply.accumulate(terms, axis=0)
         sums = terms.copy()
         sums[0] = total
-        sums = _accumulate(np.add, sums)
+        sums = np.add.accumulate(sums, axis=0)
         peaks = np.abs(sums)
         peaks[0] = peak
-        peaks = _accumulate(np.fmax, peaks)
+        peaks = np.fmax.accumulate(peaks, axis=0)
         done = np.abs(terms[1:]) <= 1e-18 * np.maximum(peaks[1:], 1e-300)
         stop = done.argmax(axis=0)
         hit = done[stop, np.arange(todo.size)]

@@ -191,6 +191,24 @@ def test_exact_derivative_array_validation(name, bad):
     with pytest.raises(ValueError) as array:
         fn(0.5, np.array([0.5, bad, 0.75]))
     assert str(array.value) == str(scalar.value)
+    # Past the first block of points, ahead of a later bad point.
+    xs = np.full(3000, 0.5)
+    xs[2500], xs[2900] = bad, 3.0 * bad
+    with pytest.raises(ValueError) as array:
+        fn(0.5, xs)
+    assert str(array.value) == str(scalar.value)
+
+
+def test_exact_derivative_keyword_arguments():
+    """Arguments bind by name as in a plain call, for scalars and arrays."""
+    assert exact_caputo_power(1.0, 0.5, x=2.0) == exact_caputo_power(1.0, 0.5, 2.0)
+    assert np.array_equal(
+        exact_caputo_power(p=2.0, alpha=0.5, x=UNIT_GRID), exact_caputo_power(2.0, 0.5, UNIT_GRID)
+    )
+    assert exact_caputo_exp(alpha=0.3, x=0.7) == exact_caputo_exp(0.3, 0.7)
+    assert np.array_equal(
+        exact_caputo_cos2pix(0.3, x=UNIT_GRID), exact_caputo_cos2pix(0.3, UNIT_GRID)
+    )
 
 
 def test_sample_path_layout():

@@ -203,8 +203,21 @@ def test_mittag_leffler_array_validation():
     with pytest.raises(ValueError) as array:
         mittag_leffler_1(1.5, np.array([1.0, -60.0, 2.0]))
     assert str(array.value) == str(scalar.value)
+    # Past the first block of points, ahead of a later bad argument.
+    zs = np.ones(3000)
+    zs[2500], zs[2900] = -60.0, 70.0
+    with pytest.raises(ValueError) as array:
+        mittag_leffler_1(1.5, zs)
+    assert str(array.value) == str(scalar.value)
     with pytest.raises(NonConvergenceError):
         mittag_leffler_1(1.5, np.array([0.5, 20.0]), max_terms=5)
+
+
+def test_mittag_leffler_keyword_arguments():
+    """Arguments bind by name as in a plain call, for scalars and arrays."""
+    assert mittag_leffler_1(beta=1.5, z=2.0) == mittag_leffler_1(1.5, 2.0)
+    assert mittag_leffler_1(1.5, z=2.0, max_terms=100) == mittag_leffler_1(1.5, 2.0)
+    assert np.array_equal(mittag_leffler_1(beta=1.5, z=ML_GRID), mittag_leffler_1(1.5, ML_GRID))
 
 
 def test_alpha_constants_fields():
