@@ -17,17 +17,22 @@ implementation rebuilds the whole stencil every step and pays O(n^2) in
 weight construction alone.  The solver below instead freezes the
 head-corrected interior weights once and patches only the O(1) tail
 entries per step, with compensated accumulators for the harmonic partial
-sums the tails need.
+sums the tails need (on the leaf path below, the Hurwitz zeta function).
 
-The history sum is split by lag.  The most recent ``_NEAR_FIELD`` lags are
-a direct dot product at every step; older history reaches each step
-through the blocked online convolution of Hairer, Lubich & Schlichte
-("Fast numerical solution of nonlinear Volterra convolution equations",
-SIAM J. Sci. Stat. Comput. 6, 1985), which adds a finished block's
-far-field contribution to every later step of its sibling block with one
-FFT product.  Only the order of the additions changes: the recurrence is
-still solved step by step, so every damping, divergent runs included, is
-served in O(n * _NEAR_FIELD + n log^2 n).
+The history sum is split by lag.  Lags below ``_NEAR_FIELD`` are summed
+directly; older history reaches each step through the blocked online
+convolution of Hairer, Lubich & Schlichte ("Fast numerical solution of
+nonlinear Volterra convolution equations", SIAM J. Sci. Stat. Comput. 6,
+1985), which adds a finished block's far-field contribution to every later
+step of its sibling block with one FFT product.  The first steps are
+marched one at a time with a direct dot product each.  From the first
+multiple of ``_LEAF`` at or past both ``_NEAR_FIELD`` and the series
+crossover on, the steps are solved ``_LEAF`` at a time: one product with a
+precomputed Toeplitz slab of the weights adds the near lags from before the
+leaf, and a forward substitution on the constant lower-triangular Toeplitz
+matrix of the leaf carries the lags inside it.  The recurrence stays
+causal, so every damping, divergent runs included, is served in
+O(n * _NEAR_FIELD + n log^2 n).
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import solve_triangular, toeplitz
 
 from .caputo import exact_caputo_cos2pix, exact_caputo_exp, exact_caputo_power
 from .schemes import (
@@ -76,11 +83,18 @@ _DIVERGENCE_LIMIT = 1e30
 #: incremental tail-patching path takes over.
 _SMALL_M = 6
 
-#: Lags below this width are summed directly at every step; older lags
-#: reach a step through the FFT far field.  A solve with fewer steps is the
-#: plain march, bit for bit.  Must exceed ``_SMALL_M``, whose full rebuilds
-#: carry their whole history.
+#: Lags below this width are summed directly; older lags reach a step
+#: through the FFT far field.  A solve with fewer steps has no far lag, and
+#: one with fewer steps than the first leaf is the plain march, bit for bit.
+#: Must exceed ``_SMALL_M``, whose full rebuilds carry their whole history.
 _NEAR_FIELD = 4096
+
+#: Steps from the first multiple of this size at or past both
+#: ``_NEAR_FIELD`` and ``_ASYM_N`` on are solved this many at a time.
+_LEAF = 64
+
+#: Step counts per vectorized tail evaluation, which bounds its temporaries.
+_TAIL_BLOCK = 4096
 
 
 class StartMode(Enum):
@@ -248,20 +262,32 @@ class _TailSums:
         return None, self._a1.value - c.zeta_ap1, None
 
 
-def _far_field_splits(n: int, width: int) -> dict[int, tuple[int, int]]:
+def _series_tail_weights(scheme: SchemeId, alpha: float, ms: np.ndarray) -> tuple:
+    """Tail weights of the stencils for every step count in ``ms``, as arrays.
+
+    Every ``m`` must lie past ``_ASYM_N``.  ``S_m[1+alpha] - zeta(1+alpha)``
+    is the Hurwitz ``-zeta(1+alpha, m)`` here, not a running sum.
+    """
+    s_a1 = -special.zeta(1.0 + alpha, ms) if scheme in _RIGHT_FAMILY else None
+    return _true_tail_weights(scheme, alpha, ms, None, s_a1, None)
+
+
+def _far_field_splits(n: int, width: int, align: int) -> dict[int, tuple[int, int]]:
     """Dyadic splits of the grid ``[0, n]`` for the far-field convolution.
 
-    Maps the midpoint ``mid`` of every node ``[lo, hi)`` longer than
-    ``width`` to ``(lo, hi)``.  Leaves are at most ``width`` long, so every
-    pair of grid points at least ``width`` apart is split by exactly one
-    node, and no two nodes share a midpoint.
+    Maps the split point ``mid`` of every node ``[lo, hi)`` longer than
+    ``width`` to ``(lo, hi)``; ``mid`` is the multiple of ``align`` (at most
+    ``width``) nearest the node's middle, so no split falls inside a leaf.
+    Leaves are at most ``width`` long, so every pair of grid points at least
+    ``width`` apart is split by exactly one node, and no two nodes share a
+    split point.
     """
     splits: dict[int, tuple[int, int]] = {}
     stack = [(0, n + 1)]
     while stack:
         lo, hi = stack.pop()
         if hi - lo > width:
-            mid = (lo + hi) // 2
+            mid = lo + (hi - lo + align) // (2 * align) * align
             splits[mid] = (lo, hi)
             stack += [(lo, mid), (mid, hi)]
     return splits
@@ -333,7 +359,7 @@ def first_step(problem: RelaxationProblem, h: float, mode: StartMode) -> float:
     return (problem.y0 + g * ha * problem.forcing(h)) / den
 
 
-def _forcing_on_grid(forcing: Callable, h: float, n: int) -> list[float]:
+def _forcing_on_grid(forcing: Callable, h: float, n: int) -> np.ndarray:
     """``forcing`` evaluated once on ``x_m = m*h`` for ``m = 2 .. n``.
 
     Raises:
@@ -342,7 +368,7 @@ def _forcing_on_grid(forcing: Callable, h: float, n: int) -> list[float]:
     xs = np.arange(2, n + 1) * h
     values = forcing(xs)
     try:
-        return np.broadcast_to(np.asarray(values, dtype=float), xs.shape).tolist()
+        return np.broadcast_to(np.asarray(values, dtype=float), xs.shape)
     except ValueError as exc:
         raise ValueError(
             "forcing must return a scalar or an array shaped like its argument; "
@@ -359,16 +385,21 @@ def solve(
     """March the relaxation equation across ``n`` uniform steps.
 
     Each step's history sum ``sum_{k=1..m} lambda_k * u_{m-k}`` is split at
-    lag ``_NEAR_FIELD`` (4096).  The near lags are one direct dot product
-    per step.  The far lags come from a dyadic divide-and-conquer over the
-    grid: once the left half ``[lo, mid)`` of a node is marched, one
-    ``rfft``/``irfft`` product adds its far-lag contribution to every step
-    of ``[mid, hi)``.  The cost is O(n * _NEAR_FIELD) direct work plus
-    O(n log^2 n) FFT work, and the march stays causal for any ``D``.  For
-    ``n < _NEAR_FIELD`` no far lag exists and the result is the plain march
-    bit for bit; beyond it the far-field sums differ from the direct ones
-    only by FFT rounding.  The forcing is evaluated once, on the whole grid,
-    before the march.
+    lag ``_NEAR_FIELD`` (4096).  The far lags come from a dyadic
+    divide-and-conquer over the grid: once the left half ``[lo, mid)`` of a
+    node is solved, one ``rfft``/``irfft`` product adds its far-lag
+    contribution to every step of ``[mid, hi)``.  Steps below the first
+    leaf (step 4096) are marched one at a time, the near lags a direct dot
+    product per step.  From there on the steps go in leaves of ``_LEAF``
+    (64): the forcing and the tail patches of all of them are computed at
+    once, each leaf adds the near lags from before it with one product
+    against a ``64 x 4095`` Toeplitz slab of the weights, and solves for
+    its own values by forward substitution on the leaf's lower-triangular
+    Toeplitz matrix.  The march stays causal for any ``D``, at
+    O(n * _NEAR_FIELD) direct plus O(n log^2 n) FFT work.  A solve with
+    fewer steps than the first leaf is the plain march bit for bit; past it
+    the sums differ from the plain march's only by rounding.  The forcing
+    is evaluated once, on the whole grid, before the march.
 
     Args:
         problem: The initial-value problem.
@@ -403,9 +434,12 @@ def solve(
     diverged = not math.isfinite(u[1]) or abs(u[1]) > _DIVERGENCE_LIMIT
 
     # far[m] collects sum_{k >= width} gen_lam[k] * u[m-k], block by block,
-    # through far_kernel: gen_lam with its first `width` lags zeroed.
+    # through far_kernel: gen_lam with its first `width` lags zeroed.  A
+    # leaf no longer than `width` keeps every lag inside it in the near field.
     width = _NEAR_FIELD
-    splits = _far_field_splits(n, width)
+    leaf = min(_LEAF, width)
+    first_leaf = -(-max(width, _ASYM_N + 1) // leaf) * leaf
+    splits = _far_field_splits(n, width, leaf)
     far = np.zeros(n + 1)
     far_kernel = np.zeros(n + 1)
 
@@ -417,34 +451,68 @@ def solve(
 
     sums = _TailSums(scheme, alpha, c)
     forcing = _forcing_on_grid(problem.forcing, h, n)
-    for m in range(2, n + 1):
-        split = splits.get(m)
-        if split is not None:
-            _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
-        s_a, s_a1, s_am1 = sums.advance(m)
-        if m <= _SMALL_M:
-            lam = normalized_lambda(build_weights(scheme, alpha, m))
-            lam0 = lam[0]
-            history = float(np.dot(lam[1:], u[m - 1 :: -1]))
-        else:
-            assert gen_lam is not None
-            lam0 = gen_lam[0]
-            if m < width:
-                history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
+    march_forcing = forcing[: first_leaf - 2].tolist()
+    # A divergent run overflows to inf and nan; `diverged` reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(2, min(n, first_leaf - 1) + 1):
+            split = splits.get(m)
+            if split is not None:
+                _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
+            s_a, s_a1, s_am1 = sums.advance(m)
+            if m <= _SMALL_M:
+                lam = normalized_lambda(build_weights(scheme, alpha, m))
+                lam0 = lam[0]
+                history = float(np.dot(lam[1:], u[m - 1 :: -1]))
             else:
-                near = float(np.dot(gen_lam[1:width], u[m - 1 : m - width : -1]))
-                history = near + far[m]
-            for idx, w_true in _true_tail_weights(scheme, alpha, m, s_a, s_a1, s_am1):
-                history += (-(w_true / norm) - gen_lam[idx]) * u[m - idx]
-        den = lam0 + d_ha
-        if den == 0.0:
-            raise SingularDenominatorError(
-                f"lambda_0 + D*h^alpha vanished (lambda_0={lam0!r}, D*h^alpha={d_ha!r})"
-            )
-        value = (ha * forcing[m - 2] + history) / den
-        u[m] = value
-        if not diverged and (not math.isfinite(value) or abs(value) > _DIVERGENCE_LIMIT):
-            diverged = True
+                assert gen_lam is not None
+                lam0 = gen_lam[0]
+                if m < width:
+                    history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
+                else:
+                    near = float(np.dot(gen_lam[1:width], u[m - 1 : m - width : -1]))
+                    history = near + far[m]
+                for idx, w_true in _true_tail_weights(scheme, alpha, m, s_a, s_a1, s_am1):
+                    history += (-(w_true / norm) - gen_lam[idx]) * u[m - idx]
+            den = lam0 + d_ha
+            if den == 0.0:
+                raise SingularDenominatorError(
+                    f"lambda_0 + D*h^alpha vanished (lambda_0={lam0!r}, D*h^alpha={d_ha!r})"
+                )
+            value = (ha * march_forcing[m - 2] + history) / den
+            u[m] = value
+            if not diverged and (not math.isfinite(value) or abs(value) > _DIVERGENCE_LIMIT):
+                diverged = True
+
+        if n >= first_leaf:
+            assert gen_lam is not None
+            # Steps past the march: forcing and tail patches (which touch
+            # only u_0, u_1, u_2) for all of them, _TAIL_BLOCK at a time ...
+            rhs = ha * forcing[first_leaf - 2 :]
+            for lo in range(first_leaf, n + 1, _TAIL_BLOCK):
+                ms = np.arange(lo, min(lo + _TAIL_BLOCK, n + 1))
+                part = rhs[lo - first_leaf : lo - first_leaf + ms.size]
+                for idx, w_true in _series_tail_weights(scheme, alpha, ms):
+                    part += (-(w_true / norm) - gen_lam[idx]) * u[ms - idx]
+            # ... then one leaf at a time: slab[i] @ u[lo - width + 1 : lo]
+            # sums the near lags reaching step lo + i from before the leaf,
+            # and tri (lambda_0 + D*h^alpha on the diagonal, -gen_lam[k] on
+            # the k-th subdiagonal) carries the lags inside it.
+            slab = np.zeros((leaf, width - 1))
+            for i in range(leaf):
+                slab[i, i:] = gen_lam[width - 1 : i : -1]
+            tri = toeplitz(np.concatenate(([gen_lam[0] + d_ha], -gen_lam[1:leaf])), np.zeros(leaf))
+            for lo in range(first_leaf, n + 1, leaf):
+                split = splits.get(lo)
+                if split is not None:
+                    _add_far_field(far, u, far_kernel, split[0], lo, split[1], width)
+                hi = min(lo + leaf, n + 1)
+                rows = hi - lo
+                b = rhs[lo - first_leaf : hi - first_leaf] + far[lo:hi]
+                b += slab[:rows] @ u[lo - width + 1 : lo]
+                u[lo:hi] = solve_triangular(
+                    tri[:rows, :rows], b, lower=True, check_finite=False
+                )
+            diverged = diverged or not np.all(np.abs(u[first_leaf:]) <= _DIVERGENCE_LIMIT)
 
     max_error: Optional[float] = None
     if problem.exact is not None:
@@ -480,7 +548,7 @@ def stability_check(
     norm = scheme_norm(scheme, alpha)
     sums = _TailSums(scheme, alpha, c)
     lower = math.inf
-    for m in range(2, max(n, 2) + 1):
+    for m in range(2, min(max(n, 2), _ASYM_N) + 1):
         s_a, s_a1, s_am1 = sums.advance(m)
         if m <= _SMALL_M:
             lam_last = float(normalized_lambda(build_weights(scheme, alpha, m))[m])
@@ -488,6 +556,11 @@ def stability_check(
             tails = _true_tail_weights(scheme, alpha, m, s_a, s_a1, s_am1)
             lam_last = next(-w / norm for idx, w in tails if idx == m)
         lower = min(lower, m**alpha * lam_last)
+    for lo in range(_ASYM_N + 1, n + 1, _TAIL_BLOCK):
+        # The last tail weight always sits at index m.
+        ms = np.arange(lo, min(lo + _TAIL_BLOCK, n + 1))
+        w_last = _series_tail_weights(scheme, alpha, ms)[-1][1]
+        lower = min(lower, float(np.min(ms**alpha * (-w_last / norm))))
     if -lower / problem.x_end**alpha < problem.D:
         return StabilityVerdict.ConditionallyConvergent
     return StabilityVerdict.OutsideTheory

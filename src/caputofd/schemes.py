@@ -387,54 +387,44 @@ def _generic_raw_weights(scheme: SchemeId, alpha: float, n_max: int, c: AlphaCon
     return w
 
 
-#: Tail indices (offsets from m) whose weights differ from the generic array.
-_TAIL_OFFSETS = {
-    SchemeId.L1: (0,),
-    SchemeId.L1Second: (0,),
-    SchemeId.MidLow: (1, 0),
-    SchemeId.MidRaw: (1, 0),
-    SchemeId.Mid2mAlpha: (1, 0),
-    SchemeId.Mid2: (1, 0),
-    SchemeId.RightLow: (0,),
-    SchemeId.RightRaw: (0,),
-    SchemeId.Right2mAlpha: (1, 0),
-    SchemeId.Right3mAlpha: (2, 1, 0),
-}
-
-
 def _true_tail_weights(
     scheme: SchemeId,
     alpha: float,
-    m: int,
+    m: int | np.ndarray,
     s_a: float | None,
-    s_a1: float | None,
+    s_a1: float | np.ndarray | None,
     s_am1: float | None,
-) -> tuple[tuple[int, float], ...]:
+) -> tuple[tuple[int | np.ndarray, float | np.ndarray], ...]:
     """Raw tail weights ``(index, w)`` of the m-step stencil.
 
     Deficit values for the current m are supplied by the caller (the solver
     maintains them incrementally); beyond the asymptotic crossover only
     ``s_a1`` is consulted (the right-sum base needs ``S_m[1+alpha]`` at
-    every m, the K/W coefficients switch to their series).
+    every m, the K/W coefficients switch to their series).  ``m`` may also
+    be an int array of step counts, all past the crossover, with ``s_a1``
+    an array alongside; every index and weight then comes back as an array.
     """
-    mf = float(m)
+    if isinstance(m, np.ndarray):
+        mf, series = m.astype(float), m.min() > _ASYM_N
+    else:
+        mf, series = float(m), m > _ASYM_N
     if scheme in _L1_FAMILY:
         return ((m, (mf - 1.0) ** (1.0 - alpha) - mf ** (1.0 - alpha)),)
     if scheme in _MID_FAMILY:
         wm1 = -((mf - 2.0) ** -alpha)
         wm = -((mf - 1.0) ** -alpha)
         if scheme in (SchemeId.Mid2mAlpha, SchemeId.Mid2):
-            wn = _w_mid_series(alpha, mf) if m > _ASYM_N else _w_mid_closed(alpha, mf, s_a)
+            wn = _w_mid_series(alpha, mf) if series else _w_mid_closed(alpha, mf, s_a)
             wm1 -= 2.0 * wn
             wm += 2.0 * wn
         return ((m - 1, wm1), (m, wm))
     base_last = -s_a1
     if scheme in (SchemeId.RightLow, SchemeId.RightRaw):
         return ((m, base_last),)
-    k1 = _k1_series(alpha, mf) if m > _ASYM_N else _k1_closed(alpha, mf, s_a, s_a1)
+    k1 = _k1_series(alpha, mf) if series else _k1_closed(alpha, mf, s_a, s_a1)
     if scheme is SchemeId.Right2mAlpha:
         return ((m - 1, (mf - 1.0) ** (-1.0 - alpha) - k1), (m, base_last + k1))
-    k2 = _k2_series(alpha, mf) if m > _ASYM_N else _k2_closed(alpha, mf, s_a, s_a1, s_am1)
+    k2 = _k2_series(alpha, mf) if series else _k2_closed(alpha, mf, s_a, s_a1, s_am1)
     return (
         (m - 2, (mf - 2.0) ** (-1.0 - alpha) + 0.5 * k1 - k2),
         (m - 1, (mf - 1.0) ** (-1.0 - alpha) - 2.0 * k1 + 2.0 * k2),

@@ -7,9 +7,11 @@ levels are pinned against independently tabulated reference values.
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,9 +53,14 @@ HIGH_ORDER = [
 
 #: Near-field widths the far-field tests run under: the solver's default,
 #: which leaves these short solves on the plain march, and 16, which sends
-#: every lag from 16 on through the FFT far field.
+#: every lag from 16 on through the FFT far field and every step from 64 on
+#: through 16-step leaves.
 DEFAULT_NEAR_FIELD = relaxation._NEAR_FIELD
 NEAR_FIELDS = [DEFAULT_NEAR_FIELD, 16]
+
+#: First step of the leaf path at the default width: the first multiple of
+#: the 64-step leaf at or past the near field and the series crossover.
+FIRST_LEAF = 4096
 
 # E_{1,1.5}(1), mpmath mp.dps=40
 ML_ONE_ONEHALF_AT_1 = 2.290698252303238
@@ -69,6 +76,18 @@ def _naive_solve(problem, scheme, n, start):
         acc = math.fsum(lam[k] * u[m - k] for k in range(1, m + 1))
         u.append((ha * problem.forcing(m * h) + acc) / (lam[0] + problem.D * ha))
     return np.array(u)
+
+
+def _leaf_rows(monkeypatch):
+    """Row counts of the leaf solves that ``solve`` runs from now on."""
+    rows = []
+
+    def spy(a, b, **kwargs):
+        rows.append(len(b))
+        return scipy.linalg.solve_triangular(a, b, **kwargs)
+
+    monkeypatch.setattr(relaxation, "solve_triangular", spy)
+    return rows
 
 
 class TestCatalog:
@@ -349,6 +368,74 @@ class TestSolve:
             assert float(np.max(np.abs(result.u))) > 1e30
             assert len(result.u) == 41  # the march still completed
 
+    def test_divergent_runs_raise_no_warnings(self, monkeypatch):
+        # The blow-up reaches inf and nan; `diverged` reports it, so numpy
+        # must not also warn, on the march or in the leaves.
+        rows = _leaf_rows(monkeypatch)
+        runs = [
+            (-7.0, DEFAULT_NEAR_FIELD, 640),
+            (-8.0, DEFAULT_NEAR_FIELD, FIRST_LEAF),  # inf before the first leaf
+            (-7.0, 16, 640),
+        ]
+        for damping, near_field, n in runs:
+            problem = equation_catalog(0.3, D=damping)[3]
+            monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = solve(problem, SchemeId.L1, n)
+            assert result.diverged
+            assert not np.all(np.isfinite(result.u))
+        assert rows  # the leaf path ran
+
+    @pytest.mark.parametrize(
+        "scheme", [SchemeId.L1, SchemeId.Mid2, SchemeId.Right3mAlpha],
+        ids=lambda s: s.name,
+    )
+    def test_leaf_path_matches_plain_march(self, scheme, monkeypatch):
+        # A near field wider than the grid turns leaves and far field off.
+        n = FIRST_LEAF + 2 * 64  # two full leaves and one step of a third
+        rows = _leaf_rows(monkeypatch)
+        for alpha in (0.3, 0.7):
+            for problem in equation_catalog(alpha, D=-1.0)[1:]:
+                monkeypatch.setattr(relaxation, "_NEAR_FIELD", DEFAULT_NEAR_FIELD)
+                leaves = solve(problem, scheme, n).u
+                assert rows == [64, 64, 1]
+                monkeypatch.setattr(relaxation, "_NEAR_FIELD", n + 1)
+                march = solve(problem, scheme, n).u
+                assert rows == [64, 64, 1]
+                rows.clear()
+                gap = np.abs(leaves - march)
+                assert np.all(gap <= 5e-13 * np.maximum(1.0, np.abs(march))), (
+                    alpha, problem.label, float(np.max(gap)),
+                )
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+    def test_leaf_edges_match_stepwise_rebuild(self, scheme, monkeypatch):
+        # Width 16 makes the leaves 16 steps long, starting at step 64.
+        monkeypatch.setattr(relaxation, "_NEAR_FIELD", 16)
+        rows = _leaf_rows(monkeypatch)
+        problem = equation_catalog(0.5)[1]
+        start = default_start_mode(scheme)
+        solve(problem, scheme, 63)
+        assert rows == []
+        for n in (64, 65, 79, 80):
+            result = solve(problem, scheme, n, start)
+            reference = _naive_solve(problem, scheme, n, start)
+            np.testing.assert_allclose(result.u, reference, rtol=0, atol=5e-14)
+        assert rows == [1, 2, 16, 16, 1]
+
+    @pytest.mark.parametrize("n,width,align", [(200, 16, 16), (300, 16, 8), (1000, 64, 64)])
+    def test_far_field_splits_cover_far_pairs_once(self, n, width, align):
+        splits = relaxation._far_field_splits(n, width, align)
+        assert all(mid % align == 0 for mid in splits)
+        cover = np.zeros((n + 1, n + 1), dtype=int)
+        for mid, (lo, hi) in splits.items():
+            assert lo < mid < hi
+            cover[mid:hi, lo:mid] += 1
+        m, j = np.indices(cover.shape)
+        assert np.all(cover[m - j >= width] == 1)
+        assert np.all(cover[m < j] == 0)
+
     def test_far_field_leaves_no_reference_cycles(self):
         # A cycle would keep every array of the solve alive until the
         # collector next runs, which shows as peak memory on long solves.
@@ -452,6 +539,32 @@ class TestStability:
         problem = equation_catalog(0.6, D=damping)[3]
         verdict = stability_check(problem, SchemeId.L1, 320)
         assert verdict is StabilityVerdict.OutsideTheory
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_verdict_flips_at_stencil_bound(self, alpha):
+        # Oracle: the bound read off full stencils, which share no tail code
+        # with the solver.  The minimum sits at m = 200 for most schemes.
+        n, x_end = 200, 2.0
+
+        def verdict(scheme, damping):
+            problem = RelaxationProblem(
+                alpha=alpha, D=damping, forcing=lambda x: 0.0, y0=0.0, x_end=x_end
+            )
+            return stability_check(problem, scheme, n)
+
+        for scheme in ALL_SCHEMES:
+            bound = min(
+                m**alpha * normalized_lambda(build_weights(scheme, alpha, m))[m]
+                for m in range(2, n + 1)
+            )
+            edge = -bound / x_end**alpha
+            inside = StabilityVerdict.ConditionallyConvergent
+            outside = StabilityVerdict.OutsideTheory
+            if bound > 0.0:
+                assert verdict(scheme, edge * (1 - 1e-6)) is inside, scheme
+                assert verdict(scheme, edge * (1 + 1e-6)) is outside, scheme
+            else:
+                assert verdict(scheme, -1e-9) is outside, scheme
 
     def test_zero_damping(self):
         problem = RelaxationProblem(
