@@ -4,7 +4,6 @@ a convergence-study harness with golden regression tables."""
 from .specfun import AlphaConstants, NonConvergenceError, alpha_constants, gamma, mittag_leffler_1, zeta
 from .schemes import (
     ExpansionCoefficients,
-    HarmonicDeficit,
     PropertyCheck,
     PropertyReport,
     SchemeId,

@@ -26,11 +26,11 @@ Comparison policy
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .caputo import (
+    QuadratureError,
     TestFunction,
     apply_stencil,
     caputo_quadrature,
@@ -48,7 +48,7 @@ from .golden_data import (
 )
 from .relaxation import NS_LABELS, RelaxationProblem, StartMode, equation_catalog, solve
 from .schemes import SchemeId, build_weights
-from .specfun import gamma
+from .specfun import NonConvergenceError, gamma
 
 __all__ = [
     "CellCheck",
@@ -152,19 +152,20 @@ class ComparisonReport:
         return f"{self.table_id}: {verdict} ({n_pass}/{len(self.checks)} checks)"
 
 
-def _run_levels(tasks: Sequence[Callable[[], float]], threads: int) -> list:
-    """Run one callable per rung, returning ``(error, failed)`` pairs in order."""
+def _run_levels(error_at: Callable[[int], float], ns: Sequence[int]) -> list:
+    """``(error, failed)`` for each grid size in ``ns``, in order.
 
-    def guarded(task: Callable[[], float]):
+    A rung that fails numerically comes back as ``(inf, True)`` and the
+    ladder goes on.  Any other exception, such as a ``NameError`` or
+    ``TypeError`` raised by a forcing, is a programming error and propagates.
+    """
+    outcomes = []
+    for n in ns:
         try:
-            return float(task()), False
-        except Exception:
-            return math.inf, True
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            return list(pool.map(guarded, tasks))
-    return [guarded(t) for t in tasks]
+            outcomes.append((float(error_at(n)), False))
+        except (ArithmeticError, ValueError, QuadratureError, NonConvergenceError):
+            outcomes.append((math.inf, True))
+    return outcomes
 
 
 def _assemble(hs: Sequence[float], outcomes: Sequence[tuple]) -> list:
@@ -204,8 +205,6 @@ def convergence_ladder(
     start: Optional[StartMode],
     h0: float,
     levels: int,
-    *,
-    threads: int = 1,
 ) -> list:
     """Solve ``problem`` on ``levels`` grids, halving h each time.
 
@@ -216,21 +215,18 @@ def convergence_ladder(
         start: first-step mode; ``None`` picks the scheme's default.
         h0: coarsest spacing; must divide ``problem.x_end`` evenly.
         levels: number of rungs (at least 2, so one order estimate exists).
-        threads: optional cap for running rungs concurrently; results are
-            ordered by h regardless.
 
     Returns:
-        list of ConvergenceRow, coarsest first.  A rung whose solve raises
-        is marked ``failed`` and the ladder continues.
+        list of ConvergenceRow, coarsest first.  A rung whose solve fails
+        numerically (an ``ArithmeticError``, ``ValueError``,
+        ``QuadratureError`` or ``NonConvergenceError``) is marked ``failed``
+        and the ladder continues; any other exception propagates.
     """
     if problem.exact is None:
         raise ValueError("problem has no exact solution to measure errors against")
     ns, hs = _ladder_grid(problem.x_end, h0, levels)
 
-    def task_for(n: int) -> Callable[[], float]:
-        return lambda: solve(problem, scheme, n, start).max_error
-
-    outcomes = _run_levels([task_for(n) for n in ns], threads)
+    outcomes = _run_levels(lambda n: solve(problem, scheme, n, start).max_error, ns)
     return _assemble(hs, outcomes)
 
 
@@ -242,7 +238,6 @@ def approximation_ladder(
     levels: int,
     *,
     scheme: Optional[SchemeId] = None,
-    threads: int = 1,
 ) -> list:
     """Evaluate one pointwise approximation of ``f`` on a halving ladder.
 
@@ -266,19 +261,13 @@ def approximation_ladder(
     ns, hs = _ladder_grid(x, h0, levels)
     scale = abs(gamma(-alpha)) if scheme is None else 1.0
 
-    def task_for(n: int) -> Callable[[], float]:
+    def error_at(n: int) -> float:
         if scheme is None:
-            return lambda: scale * abs(fourth_order_eval(f, alpha, x, n) - reference)
-        wv_scheme = scheme
+            return scale * abs(fourth_order_eval(f, alpha, x, n) - reference)
+        wv = build_weights(scheme, alpha, n)
+        return abs(apply_stencil(wv, sample_path(f, x, n)) - reference)
 
-        def run() -> float:
-            wv = build_weights(wv_scheme, alpha, n)
-            return abs(apply_stencil(wv, sample_path(f, x, n)) - reference)
-
-        return run
-
-    outcomes = _run_levels([task_for(n) for n in ns], threads)
-    return _assemble(hs, outcomes)
+    return _assemble(hs, _run_levels(error_at, ns))
 
 
 def _sig_digits(text: str) -> int:
@@ -372,7 +361,7 @@ def compare_golden(
     return ComparisonReport(table_id=golden.table_id, checks=tuple(checks))
 
 
-def run_golden(table: GoldenTable, *, threads: int = 1) -> tuple:
+def run_golden(table: GoldenTable) -> tuple:
     """Recompute one fixture column from scratch and compare against it.
 
     Returns:
@@ -383,15 +372,10 @@ def run_golden(table: GoldenTable, *, threads: int = 1) -> tuple:
     if spec.kind == "solver":
         scheme, start = NS_LABELS[spec.scheme_label]
         problems = {p.label: p for p in equation_catalog(spec.alpha, D=spec.damping)}
-        rows = convergence_ladder(
-            problems[spec.equation], scheme, start, spec.h0, spec.levels,
-            threads=threads,
-        )
+        rows = convergence_ladder(problems[spec.equation], scheme, start, spec.h0, spec.levels)
     elif spec.kind == "pointwise":
         f = function_catalog()[spec.function]
-        rows = approximation_ladder(
-            f, spec.alpha, spec.x, spec.h0, spec.levels, threads=threads
-        )
+        rows = approximation_ladder(f, spec.alpha, spec.x, spec.h0, spec.levels)
     else:
         raise ValueError(f"unknown recompute kind {spec.kind!r}")
     return rows, compare_golden(rows, table)

@@ -259,9 +259,7 @@ def _cmd_caputo(ns) -> int:
 
     if ns.levels is not None:
         _require(ns.levels >= 2, f"a ladder needs at least two levels, got {ns.levels}")
-        rows = approximation_ladder(
-            f, ns.alpha, ns.x, ns.h, ns.levels, scheme=scheme, threads=ns.threads
-        )
+        rows = approximation_ladder(f, ns.alpha, ns.x, ns.h, ns.levels, scheme=scheme)
         _emit_ladder(rows, ns.format)
         return _failed_rung_exit(rows)
 
@@ -328,9 +326,7 @@ def _cmd_table(ns) -> int:
     scheme, alias_mode = _parse_scheme(ns.scheme)
     problem = _resolve_problem(ns.equation, ns.alpha)
     _require(ns.levels >= 2, f"a ladder needs at least two levels, got {ns.levels}")
-    rows = convergence_ladder(
-        problem, scheme, _start_mode(ns, alias_mode), ns.h0, ns.levels, threads=ns.threads
-    )
+    rows = convergence_ladder(problem, scheme, _start_mode(ns, alias_mode), ns.h0, ns.levels)
     _emit_ladder(rows, ns.format)
     return _failed_rung_exit(rows)
 
@@ -346,7 +342,7 @@ def _cmd_golden(ns) -> int:
     all_checks = []
     reports = []
     for table in columns:
-        _, report = run_golden(table, threads=ns.threads)
+        _, report = run_golden(table)
         reports.append(report)
         for c in report.checks:
             all_checks.append((
@@ -414,18 +410,6 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="output format (default csv)")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="cap on concurrent ladder rungs (default 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="caputofd",
@@ -457,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=None,
                    help="run a halving ladder from h instead of one evaluation")
     _add_format(p)
-    _add_threads(p)
     p.set_defaults(handler=_cmd_caputo)
 
     p = sub.add_parser("solve", help="solve a catalog relaxation equation")
@@ -478,13 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--start", choices=tuple(_START_MODES))
     _add_format(p)
-    _add_threads(p)
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("golden", help="recompute one bundled reference table")
     p.add_argument("--table", type=int, required=True, metavar="N")
     _add_format(p)
-    _add_threads(p)
     p.set_defaults(handler=_cmd_golden)
 
     p = sub.add_parser("check", help="weight property report for one stencil")

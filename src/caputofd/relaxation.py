@@ -16,8 +16,9 @@ Because the tail weights change with the step count ``m``, a naive
 implementation rebuilds the whole stencil every step and pays O(n^2) in
 weight construction alone.  The solver below instead freezes the
 head-corrected interior weights once and patches only the O(1) tail
-entries per step, with compensated accumulators for the harmonic partial
-sums the tails need (on the leaf path below, the Hurwitz zeta function).
+entries per step.  The harmonic deficits the tails read come from one
+compensated cumulative-sum table per exponent, built once per solve (on the
+leaf path below, from the Hurwitz zeta function).
 
 The history sum is split by lag.  Lags below ``_NEAR_FIELD`` are summed
 directly; older history reaches each step through the blocked online
@@ -52,13 +53,14 @@ from .schemes import (
     SchemeId,
     _ASYM_N,
     _RIGHT_FAMILY,
+    _deficit_table,
     _generic_raw_weights,
     _true_tail_weights,
     build_weights,
     normalized_lambda,
     scheme_norm,
 )
-from .specfun import AlphaConstants, _elementwise, _fsum_points, _libm, alpha_constants
+from .specfun import _elementwise, _fsum_points, _libm, alpha_constants
 
 __all__ = [
     "NS_LABELS",
@@ -194,72 +196,20 @@ class SolveResult:
         return self.u.shape[0] - 1
 
 
-class _NeumaierSum:
-    """Compensated scalar accumulator.
+def _tail_deficits(scheme: SchemeId, alpha: float, m_max: int) -> tuple[list, list, list]:
+    """``S_m[alpha]``, ``S_m[1+alpha]`` and ``S_m[alpha-1]`` at index ``m <= m_max``.
 
-    The tail weights consume partial sums of k^(-s) with thousands of terms;
-    plain accumulation drifts by ~1e-12 absolute at n = 2560, and the
-    near-cancellation inside the tail deficits amplifies that to the point
-    of threatening the 1e-10 closed-form agreement targets.
+    Past the series crossover ``_ASYM_N`` the ``K``/``W`` coefficients read
+    no deficit and only the right-sum base ``-S_m[1+alpha]`` still does, so
+    no power is taken for the entries nobody reads; they are ``None``.
     """
+    head = min(m_max, _ASYM_N)
+    a1_max = m_max if scheme in _RIGHT_FAMILY else head
 
-    __slots__ = ("_total", "_comp")
+    def padded(s: float, top: int) -> list:
+        return _deficit_table(s, top).tolist() + [None] * (m_max - top)
 
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._comp = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._total + x
-        if abs(self._total) >= abs(x):
-            self._comp += (self._total - t) + x
-        else:
-            self._comp += (x - t) + self._total
-        self._total = t
-
-    @property
-    def value(self) -> float:
-        return self._total + self._comp
-
-
-class _TailSums:
-    """Shifted partial sums ``S_m[s] - zeta(s)`` read by the tail formulas.
-
-    :meth:`advance` adds the ``k = m - 1`` terms and returns the values for
-    ``s = alpha, 1 + alpha, alpha - 1``.  Past the series crossover
-    ``_ASYM_N`` the ``K``/``W`` coefficients read no sum and only the
-    right-sum base ``-S_m[1+alpha]`` still does, so the sums nobody reads
-    stop accumulating and come back as ``None``.
-    """
-
-    __slots__ = ("_alpha", "_c", "_right", "_a", "_a1", "_am1")
-
-    def __init__(self, scheme: SchemeId, alpha: float, c: AlphaConstants) -> None:
-        self._alpha = alpha
-        self._c = c
-        self._right = scheme in _RIGHT_FAMILY
-        self._a = _NeumaierSum()
-        self._a1 = _NeumaierSum()
-        self._am1 = _NeumaierSum()
-
-    def advance(
-        self, m: int
-    ) -> tuple[Optional[float], Optional[float], Optional[float]]:
-        k = float(m - 1)
-        c = self._c
-        if m <= _ASYM_N:
-            self._a.add(k**-self._alpha)
-            self._a1.add(k ** (-1.0 - self._alpha))
-            self._am1.add(k ** (1.0 - self._alpha))
-            return (
-                self._a.value - c.zeta_a,
-                self._a1.value - c.zeta_ap1,
-                self._am1.value - c.zeta_am1,
-            )
-        if not self._right:
-            return None, None, None
-        self._a1.add(k ** (-1.0 - self._alpha))
-        return None, self._a1.value - c.zeta_ap1, None
+    return padded(alpha, head), padded(1.0 + alpha, a1_max), padded(alpha - 1.0, head)
 
 
 def _series_tail_weights(scheme: SchemeId, alpha: float, ms: np.ndarray) -> tuple:
@@ -443,35 +393,33 @@ def solve(
     far = np.zeros(n + 1)
     far_kernel = np.zeros(n + 1)
 
-    gen_lam: Optional[np.ndarray] = None
-    if n > _SMALL_M:
-        gen_lam = -_generic_raw_weights(scheme, alpha, n, c) / norm
-        gen_lam[0] = -gen_lam[0]
-        far_kernel[width:] = gen_lam[width:]
+    gen_lam = -_generic_raw_weights(scheme, alpha, n, c) / norm
+    gen_lam[0] = -gen_lam[0]
+    far_kernel[width:] = gen_lam[width:]
 
-    sums = _TailSums(scheme, alpha, c)
+    march_end = min(n, first_leaf - 1)
+    s_a, s_a1, s_am1 = _tail_deficits(scheme, alpha, march_end)
     forcing = _forcing_on_grid(problem.forcing, h, n)
     march_forcing = forcing[: first_leaf - 2].tolist()
     # A divergent run overflows to inf and nan; `diverged` reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(2, min(n, first_leaf - 1) + 1):
+        for m in range(2, march_end + 1):
             split = splits.get(m)
             if split is not None:
                 _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
-            s_a, s_a1, s_am1 = sums.advance(m)
             if m <= _SMALL_M:
                 lam = normalized_lambda(build_weights(scheme, alpha, m))
                 lam0 = lam[0]
                 history = float(np.dot(lam[1:], u[m - 1 :: -1]))
             else:
-                assert gen_lam is not None
                 lam0 = gen_lam[0]
                 if m < width:
                     history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
                 else:
                     near = float(np.dot(gen_lam[1:width], u[m - 1 : m - width : -1]))
                     history = near + far[m]
-                for idx, w_true in _true_tail_weights(scheme, alpha, m, s_a, s_a1, s_am1):
+                tails = _true_tail_weights(scheme, alpha, m, s_a[m], s_a1[m], s_am1[m])
+                for idx, w_true in tails:
                     history += (-(w_true / norm) - gen_lam[idx]) * u[m - idx]
             den = lam0 + d_ha
             if den == 0.0:
@@ -484,7 +432,6 @@ def solve(
                 diverged = True
 
         if n >= first_leaf:
-            assert gen_lam is not None
             # Steps past the march: forcing and tail patches (which touch
             # only u_0, u_1, u_2) for all of them, _TAIL_BLOCK at a time ...
             rhs = ha * forcing[first_leaf - 2 :]
@@ -544,16 +491,15 @@ def stability_check(
         return StabilityVerdict.OutsideTheory
 
     alpha = problem.alpha
-    c = alpha_constants(alpha)
     norm = scheme_norm(scheme, alpha)
-    sums = _TailSums(scheme, alpha, c)
+    head = min(max(n, 2), _ASYM_N)
+    s_a, s_a1, s_am1 = _tail_deficits(scheme, alpha, head)
     lower = math.inf
-    for m in range(2, min(max(n, 2), _ASYM_N) + 1):
-        s_a, s_a1, s_am1 = sums.advance(m)
+    for m in range(2, head + 1):
         if m <= _SMALL_M:
             lam_last = float(normalized_lambda(build_weights(scheme, alpha, m))[m])
         else:
-            tails = _true_tail_weights(scheme, alpha, m, s_a, s_a1, s_am1)
+            tails = _true_tail_weights(scheme, alpha, m, s_a[m], s_a1[m], s_am1[m])
             lam_last = next(-w / norm for idx, w in tails if idx == m)
         lower = min(lower, m**alpha * lam_last)
     for lo in range(_ASYM_N + 1, n + 1, _TAIL_BLOCK):

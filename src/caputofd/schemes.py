@@ -35,8 +35,11 @@ Tail corrections are built from the harmonic deficits
 
 The closed forms above suffer catastrophic cancellation for large n (the
 K_2 one loses ~n^2 ulps), so past ``n = 50`` they are evaluated by their
-Euler-Maclaurin expansions instead; both branches agree to ~1e-13 relative
-at the crossover, which the test suite pins.
+Euler-Maclaurin expansions instead.  The branches do not meet at full
+precision: against mpmath (40 digits, alpha = 0.1, 0.2, ..., 0.9) the
+n = 50 closed forms are off by up to 2.1e-13 (W_n), 4.3e-10 (K_1) and
+6.2e-6 (K_2) relative, while the n = 51 series are within 2.4e-13.  A
+better K_2 crossover is an open item (ROADMAP.md, item 4).
 """
 
 from __future__ import annotations
@@ -129,26 +132,6 @@ class WeightVector:
         self.weights.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class HarmonicDeficit:
-    """Value of ``S_n[alpha] = sum_{k=1}^{n-1} k^(-alpha) - zeta(alpha)``.
-
-    Supports constant-time extension ``n -> n+1``, which the relaxation
-    solver uses to grow tail corrections one step at a time.
-    """
-
-    alpha: float
-    n: int
-    value: float
-
-    @classmethod
-    def start(cls, alpha: float) -> "HarmonicDeficit":
-        return cls(alpha, 2, 1.0 - zeta(alpha))
-
-    def extended(self) -> "HarmonicDeficit":
-        return HarmonicDeficit(self.alpha, self.n + 1, self.value + float(self.n) ** -self.alpha)
-
-
 def harmonic_deficit(alpha: float, n: int) -> float:
     """Harmonic deficit ``S_n[alpha]`` by compensated direct summation.
 
@@ -161,6 +144,21 @@ def harmonic_deficit(alpha: float, n: int) -> float:
     if not -1.0 < alpha < 2.0 or alpha == 1.0:
         raise ValueError(f"harmonic_deficit exponent outside (-1,2)\\{{1}}: {alpha!r}")
     return math.fsum(float(k) ** -alpha for k in range(1, n)) - zeta(alpha)
+
+
+def _deficit_table(s: float, m_max: int) -> np.ndarray:
+    """Harmonic deficits ``S_m[s]`` at index ``m`` for every ``m <= m_max``.
+
+    The running Neumaier sum of ``k^(-s)``, vectorized: ``cumsum`` adds in
+    order, so ``total[m]`` is the plain running sum and ``err[m]`` the
+    rounding error of its last addition, exactly as a scalar compensated
+    accumulator carries them.  Indices 0 and 1 hold the empty sum.
+    """
+    x = np.array([0.0, 0.0] + [float(k) ** -s for k in range(1, m_max)])
+    total = np.cumsum(x)
+    prev = np.concatenate(([0.0], total[:-1]))
+    err = np.where(np.abs(prev) >= np.abs(x), (prev - total) + x, (x - total) + prev)
+    return total + np.cumsum(err) - zeta(s)
 
 
 # --- deficit-derived tail coefficients -------------------------------------
@@ -360,7 +358,7 @@ def normalized_lambda(wv: WeightVector) -> np.ndarray:
 
 
 def _generic_raw_weights(scheme: SchemeId, alpha: float, n_max: int, c: AlphaConstants) -> np.ndarray:
-    """Head-corrected interior weights through index ``n_max``, no tails.
+    """Head-corrected interior weights through index ``n_max >= 2``, no tails.
 
     For step counts m >= 7 the true stencil differs from this array only at
     the scheme's tail indices, so a solver can precompute it once and patch
@@ -376,10 +374,8 @@ def _generic_raw_weights(scheme: SchemeId, alpha: float, n_max: int, c: AlphaCon
         idx[0] = 1.0  # p[0] is never read
         p = idx**-alpha
         w[0] = 1.0
-        if n_max >= 1:
-            w[1] = p[2]
-        if n_max >= 2:
-            w[2:] = p[3:] - p[1:-2]
+        w[1] = p[2]
+        w[2:] = p[3:] - p[1:-2]
     else:
         w[0] = -c.zeta_ap1
         w[1:] = np.arange(1, n_max + 1, dtype=float) ** (-1.0 - alpha)
@@ -397,8 +393,8 @@ def _true_tail_weights(
 ) -> tuple[tuple[int | np.ndarray, float | np.ndarray], ...]:
     """Raw tail weights ``(index, w)`` of the m-step stencil.
 
-    Deficit values for the current m are supplied by the caller (the solver
-    maintains them incrementally); beyond the asymptotic crossover only
+    The caller supplies the deficits ``S_m[s]`` at this m (the solver reads
+    them from :func:`_deficit_table`); beyond the asymptotic crossover only
     ``s_a1`` is consulted (the right-sum base needs ``S_m[1+alpha]`` at
     every m, the K/W coefficients switch to their series).  ``m`` may also
     be an int array of step counts, all past the crossover, with ``s_a1``

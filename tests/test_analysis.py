@@ -220,11 +220,18 @@ class TestConvergenceLadder:
         with pytest.raises(ValueError, match="exact"):
             convergence_ladder(blind, SchemeId.L1, None, 0.00625, 2)
 
-    def test_threads_do_not_change_results(self):
-        prob = _problem(0.5, "II")
-        seq = convergence_ladder(prob, SchemeId.L1, None, 0.05, 3)
-        par = convergence_ladder(prob, SchemeId.L1, None, 0.05, 3, threads=4)
-        assert par == seq
+    def test_name_error_in_forcing_propagates(self):
+        def forcing(x):
+            return np.exp(x) + undefined_term  # noqa: F821
+
+        prob = RelaxationProblem(alpha=0.5, D=1.0, forcing=forcing, y0=1.0, exact=np.exp)
+        with pytest.raises(NameError, match="undefined_term"):
+            convergence_ladder(prob, SchemeId.L1, None, 0.05, 3)
+
+    def test_scalar_only_forcing_propagates(self):
+        prob = RelaxationProblem(alpha=0.5, D=1.0, forcing=math.exp, y0=1.0, exact=np.exp)
+        with pytest.raises(TypeError):
+            convergence_ladder(prob, SchemeId.L1, None, 0.05, 3)
 
 
 class TestApproximationLadder:

@@ -274,14 +274,6 @@ class TestTable:
         assert float(rows[2][1]) > 0.0
         assert "failed at h" in err
 
-    def test_threads_flag_identical_output(self, capsys):
-        argv = ("table", "--equation", "eq2", "--alpha", "0.5",
-                "--scheme", "mid2", "--h0", "0.05", "--levels", "3")
-        code_a, out_a, _ = _run(capsys, *argv)
-        code_b, out_b, _ = _run(capsys, *argv, "--threads", "4")
-        assert code_a == code_b == 0
-        assert out_a == out_b
-
 
 class TestGolden:
     def test_table_one_passes(self, capsys):
