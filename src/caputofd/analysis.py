@@ -92,12 +92,14 @@ class ConvergenceRow:
             the first rung, after a failed rung, or when either error sits
             at the rounding floor.
         failed: the computation raised instead of producing a value.
+        cause: ``"<exception type>: <message>"`` of a failed rung, else empty.
     """
 
     h: float
     error: float
     order: Optional[float] = None
     failed: bool = False
+    cause: str = ""
 
     def __post_init__(self) -> None:
         if not self.h > 0.0:
@@ -153,25 +155,27 @@ class ComparisonReport:
 
 
 def _run_levels(error_at: Callable[[int], float], ns: Sequence[int]) -> list:
-    """``(error, failed)`` for each grid size in ``ns``, in order.
+    """``(error, cause)`` for each grid size in ``ns``, in order.
 
-    A rung that fails numerically comes back as ``(inf, True)`` and the
-    ladder goes on.  Any other exception, such as a ``NameError`` or
-    ``TypeError`` raised by a forcing, is a programming error and propagates.
+    A rung that fails numerically comes back as ``(inf, "<type>: <message>")``
+    and the ladder goes on; a rung that succeeds has an empty cause.  Any
+    other exception, such as a ``NameError`` or ``TypeError`` raised by a
+    forcing, is a programming error and propagates.
     """
     outcomes = []
     for n in ns:
         try:
-            outcomes.append((float(error_at(n)), False))
-        except (ArithmeticError, ValueError, QuadratureError, NonConvergenceError):
-            outcomes.append((math.inf, True))
+            outcomes.append((float(error_at(n)), ""))
+        except (ArithmeticError, ValueError, QuadratureError, NonConvergenceError) as exc:
+            outcomes.append((math.inf, f"{type(exc).__name__}: {exc}"))
     return outcomes
 
 
 def _assemble(hs: Sequence[float], outcomes: Sequence[tuple]) -> list:
     rows = []
     prev: Optional[float] = None
-    for h, (error, failed) in zip(hs, outcomes):
+    for h, (error, cause) in zip(hs, outcomes):
+        failed = bool(cause)
         order = None
         if (
             not failed
@@ -180,7 +184,7 @@ def _assemble(hs: Sequence[float], outcomes: Sequence[tuple]) -> list:
             and error > _ROUNDING_FLOOR
         ):
             order = math.log2(prev / error)
-        rows.append(ConvergenceRow(h=h, error=error, order=order, failed=failed))
+        rows.append(ConvergenceRow(h=h, error=error, order=order, failed=failed, cause=cause))
         prev = None if failed else error
     return rows
 

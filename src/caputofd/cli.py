@@ -180,12 +180,10 @@ def _emit_ladder(rows, fmt: str) -> None:
 
 
 def _failed_rung_exit(rows) -> int:
-    failed = [r.h for r in rows if r.failed]
-    if failed:
-        hs = ", ".join(repr(h) for h in failed)
-        print(f"warning: ladder rung(s) failed at h = {hs}", file=sys.stderr)
-        return 2
-    return 0
+    failed = [r for r in rows if r.failed]
+    for r in failed:
+        print(f"warning: ladder rung failed at h = {r.h!r}: {r.cause}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 # --------------------------------------------------------------------------
@@ -367,6 +365,9 @@ def _cmd_golden(ns) -> int:
         )
     for report in reports:
         print(report.summary(), file=sys.stderr)
+        if not report.all_passed:
+            for check in report.worst_deviations(3):
+                print(f"  {check}", file=sys.stderr)
     return 0 if all(r.all_passed for r in reports) else 3
 
 

@@ -60,7 +60,7 @@ from .schemes import (
     normalized_lambda,
     scheme_norm,
 )
-from .specfun import _elementwise, _fsum_points, _libm, alpha_constants
+from .specfun import _elementwise, _libm, alpha_constants
 
 __all__ = [
     "NS_LABELS",
@@ -527,17 +527,21 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
     Each forcing is assembled as exact-Caputo-derivative + D*solution, so
     the listed function is the exact solution by construction.  The
     forcings take a point or an array of points, and an array gives the
-    scalar values bit for bit.
+    scalar values bit for bit.  The solutions' ``exp`` and ``cos`` are
+    libm's, called per element, and problem I adds its four power terms
+    with ``math.fsum`` per point.
     """
     alpha_constants(alpha)  # validates the order once, loudly
 
     def poly(x):
         return 1.0 + x * (1.0 + x * (1.0 + x * (1.0 + x)))
 
-    @_elementwise(blocked=True)
+    @_elementwise
     def poly_forcing(x):
         powers = np.vstack([exact_caputo_power(k, alpha, x) for k in range(1, 5)])
-        return _fsum_points(powers) + poly(x)
+        # math.fsum per point, 1024 points at a time to bound the Python lists.
+        blocks = (powers[:, lo : lo + 1024].T.tolist() for lo in range(0, x.size, 1024))
+        return np.array([math.fsum(col) for block in blocks for col in block]) + poly(x)
 
     @_elementwise
     def exp_unit_forcing(x):

@@ -6,8 +6,8 @@ to :func:`math.gamma`), the Riemann zeta function on the real interval
 complex arguments, and a per-order cache of the handful of zeta/gamma
 constants that every weight builder needs.  ``gamma`` and ``zeta`` take
 plain floats; :func:`mittag_leffler_1` takes a scalar or an array of
-arguments and evaluates an array in one series loop, with results equal
-bit for bit to scalar calls.
+arguments and runs one loop over terms on all points at once; a scalar is
+one point of that loop, so arrays give the scalar values bit for bit.
 
 The zeta evaluation uses the alternating (eta) series accelerated with
 Chebyshev-polynomial coefficients, which converges geometrically on
@@ -35,19 +35,15 @@ class NonConvergenceError(RuntimeError):
     """A series failed to meet its tolerance within the term cap."""
 
 
-def _elementwise(fn=None, *, blocked: bool = False):
+def _elementwise(fn):
     """Let ``fn``, written for a 1-D array in its last positional-or-keyword
     parameter (the points), take any scalar or array there.
 
     The points reach ``fn`` flattened to 1-D (float, or complex when
     complex); the result comes back in the argument's shape, and a scalar
     argument gets a Python scalar back.  Arguments bind by name as in a
-    plain call.  With ``blocked`` the points go to ``fn`` in order, in
-    slices of ``_BLOCK_POINTS``, and the results are joined; series whose
-    working set grows with terms x points use it.
+    plain call.
     """
-    if fn is None:
-        return functools.partial(_elementwise, blocked=blocked)
     sig = inspect.signature(fn)
     point = [
         name for name, par in sig.parameters.items()
@@ -59,23 +55,11 @@ def _elementwise(fn=None, *, blocked: bool = False):
         bound = sig.bind(*args, **kwargs)
         arr = np.asarray(bound.arguments[point])
         arr = arr.astype(np.result_type(arr, np.float64), copy=False)
-        flat = arr.reshape(-1)
-        step = _BLOCK_POINTS if blocked else max(flat.size, 1)
-        parts = []
-        for lo in range(0, max(flat.size, 1), step):
-            bound.arguments[point] = flat[lo : lo + step]
-            parts.append(np.asarray(fn(*bound.args, **bound.kwargs)))
-        out = np.concatenate(parts).reshape(arr.shape)
+        bound.arguments[point] = arr.reshape(-1)
+        out = np.asarray(fn(*bound.args, **bound.kwargs)).reshape(arr.shape)
         return out.item() if out.ndim == 0 else out
 
     return wrapper
-
-
-#: Points per block and terms per pass of the vectorized series loops.
-#: Together they bound the term matrices of one pass (17 x 1024 floats), so
-#: a whole-grid call needs little more memory than its result.
-_BLOCK_POINTS = 1024
-_BLOCK_TERMS = 16
 
 
 def _libm(fn, xs: np.ndarray, *args) -> np.ndarray:
@@ -86,11 +70,6 @@ def _libm(fn, xs: np.ndarray, *args) -> np.ndarray:
     ``exp`` and ``cos`` may differ from it in the last bit.
     """
     return np.array([fn(v, *args) for v in xs.tolist()], dtype=float)
-
-
-def _fsum_points(terms: np.ndarray) -> np.ndarray:
-    """``math.fsum`` down each column of ``terms``, one column per point."""
-    return np.array([math.fsum(col) for col in terms.T.tolist()], dtype=float)
 
 
 def gamma(x: float) -> float:
@@ -170,7 +149,7 @@ def zeta(s: float) -> float:
     )
 
 
-@_elementwise(blocked=True)
+@_elementwise
 def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
     """Two-parameter Mittag-Leffler function ``E_{1,beta}(z)``.
 
@@ -179,11 +158,11 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
     term falls below ``1e-18`` of the largest partial sum seen, which keeps
     the result at full double precision for moderate ``|z|``.
 
-    An array of arguments is summed in blocks of points, ``_BLOCK_TERMS``
-    terms per pass.  Each point stops at its own truncation point.  Real
-    arguments do the float operations of the Python-complex series and
-    match it bit for bit; complex ones use numpy's complex arithmetic and
-    match it to rounding.
+    An array of arguments runs through one loop over terms, all points
+    still summing at once; each point stops at its own truncation point.
+    Real arguments do the float operations of the Python-complex series
+    and match it bit for bit; complex ones use numpy's complex arithmetic
+    and match it to rounding.
 
     Args:
         beta: second parameter, must be positive.
@@ -204,40 +183,28 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
         raise ValueError(
             f"mittag_leffler_1 restricted to |z| <= 50, got |z|={float(mag[mag > 50.0][0])!r}"
         )
-    # Term k multiplies term k-1 by z / d[k-1].  Row k of ``terms`` holds
-    # term k of every point still summing.  Row 0 carries the state in, and
-    # multiplying the rows z/d out from the top repeats the scalar recurrence
-    # term *= z/d; the partial sums and their running peak accumulate down
-    # the rows the same way.  A point that meets the test is written out and
-    # dropped.  Real arguments stay real: with a zero imaginary part Python's
-    # complex operations round exactly as the real ones, and abs() is exact.
-    d = np.arange(max_terms) + beta
+    # Term k is term k-1 times z / (k - 1 + beta).  Real arguments stay
+    # real: with a zero imaginary part Python's complex operations round
+    # exactly as the real ones, and abs() is exact.
     out = np.empty(z.size, dtype=complex)
     todo = np.arange(z.size)
     term = np.full(z.size, 1.0 / gamma(beta), dtype=z.dtype)
     total = term.copy()
     peak = np.abs(total)
-    for lo in range(0, d.size, _BLOCK_TERMS):
-        terms = np.concatenate((term[None], z[todo] / d[lo : lo + _BLOCK_TERMS, None]))
-        terms = np.multiply.accumulate(terms, axis=0)
-        sums = terms.copy()
-        sums[0] = total
-        sums = np.add.accumulate(sums, axis=0)
-        peaks = np.abs(sums)
-        peaks[0] = peak
-        peaks = np.fmax.accumulate(peaks, axis=0)
-        done = np.abs(terms[1:]) <= 1e-18 * np.maximum(peaks[1:], 1e-300)
-        stop = done.argmax(axis=0)
-        hit = done[stop, np.arange(todo.size)]
-        out[todo[hit]] = sums[stop[hit] + 1, hit]
-        keep = ~hit
-        todo = todo[keep]
+    for d in np.arange(max_terms) + beta:
+        term = term * (z / d)
+        total = total + term
+        peak = np.fmax(peak, np.abs(total))
+        done = np.abs(term) <= 1e-18 * np.maximum(peak, 1e-300)
+        if done.any():
+            out[todo[done]] = total[done]
+            live = ~done
+            todo, z, term, total, peak = todo[live], z[live], term[live], total[live], peak[live]
         if not todo.size:
             return out
-        term, total, peak = terms[-1, keep], sums[-1, keep], peaks[-1, keep]
     raise NonConvergenceError(
-        f"mittag_leffler_1(beta={beta!r}, z={z[todo[0]].item()!r}) "
-        f"did not converge in {d.size} terms"
+        f"mittag_leffler_1(beta={beta!r}, z={z[0].item()!r}) "
+        f"did not converge in {max_terms} terms"
     )
 
 

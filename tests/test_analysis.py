@@ -210,6 +210,21 @@ class TestConvergenceLadder:
         assert rows[2].error == math.inf
         assert rows[2].order is None
 
+    def test_failed_rung_carries_its_cause(self):
+        def forcing(x):
+            if np.min(x) < 0.005:
+                raise ValueError("forcing not defined this close to zero")
+            return np.ones_like(x)
+
+        prob = RelaxationProblem(
+            alpha=0.5, D=1.0, forcing=forcing, y0=0.0,
+            exact=lambda x: 0.0 * x, label="partial",
+        )
+        rows = convergence_ladder(prob, SchemeId.L1, None, 0.0125, 3)
+        assert [r.cause for r in rows] == [
+            "", "", "ValueError: forcing not defined this close to zero"
+        ]
+
     def test_validation(self):
         prob = _problem(0.5, "II")
         with pytest.raises(ValueError, match="two levels"):

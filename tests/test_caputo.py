@@ -120,7 +120,7 @@ def test_cos_series_matches_complex_form(a, x):
     assert exact_caputo_cos2pix(a, x) == pytest.approx(complex_form, abs=1e-10)
 
 
-#: 4097 points of [0, 1], both ends included; more than two series blocks.
+#: 4097 points of [0, 1], both ends included.
 UNIT_GRID = np.linspace(0.0, 1.0, 4097)
 
 EXACT_DERIVATIVES = {
@@ -154,29 +154,30 @@ def test_exact_derivative_powers_through_libm(alpha):
     assert np.array_equal(exact_caputo_exp(alpha, UNIT_GRID), expected)
 
 
-def _scalar_cos_series(alpha, x):
-    """The term loop of exact_caputo_cos2pix for one point, in Python floats."""
-    if x == 0.0:
-        return 0.0
-    ratio = -4.0 * math.pi**2 * x * x
-    term = -4.0 * math.pi**2 * x ** (2.0 - alpha) / math.gamma(3.0 - alpha)
-    terms = [term]
-    scale = abs(term)
-    for k in range(1, 300):
-        term *= ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
-        terms.append(term)
-        scale = max(scale, abs(term))
-        if abs(term) <= 1e-16 * scale:
-            break
-    return math.fsum(terms)
+#: Worst absolute error per interval of the series with its terms added
+#: exactly (``math.fsum`` per point), measured by the test below on its points.
+COS_FSUM_WORST = {(0.0, 1.0): 5.1514348342607263e-14, (1.0, 2.0): 1.7712054045659897e-11}
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
-def test_cos_series_array_matches_scalar_series(alpha):
-    """The whole domain [0, 2] gives the Python-float series bit for bit."""
-    grid = np.linspace(0.0, 2.0, 4097)
-    expected = [_scalar_cos_series(alpha, x) for x in grid.tolist()]
-    assert np.array_equal(exact_caputo_cos2pix(alpha, grid), expected)
+def test_cos_series_against_mpmath():
+    """Within 10% of an exact sum of the terms, against
+    Re(2 pi i x^(1-a) 1F1(1; 2-a; 2 pi i x) / Gamma(2-a)) at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    for (lo, hi), fsum_worst in COS_FSUM_WORST.items():
+        xs = np.linspace(lo, hi, 201)[1:] if lo == 0.0 else np.linspace(lo, hi, 201)
+        worst = 0.0
+        for alpha in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            with mpmath.workdps(30):
+                a, lam = mpmath.mpf(alpha), 2j * mpmath.pi
+                exact = [
+                    float(mpmath.re(
+                        lam * mpmath.mpf(x) ** (1 - a)
+                        * mpmath.hyp1f1(1, 2 - a, lam * x) / mpmath.gamma(2 - a)
+                    ))
+                    for x in xs.tolist()
+                ]
+            worst = max(worst, np.max(np.abs(exact_caputo_cos2pix(alpha, xs) - exact)))
+        assert worst <= 1.1 * fsum_worst, (lo, hi, worst)
 
 
 @pytest.mark.parametrize(
@@ -191,7 +192,7 @@ def test_exact_derivative_array_validation(name, bad):
     with pytest.raises(ValueError) as array:
         fn(0.5, np.array([0.5, bad, 0.75]))
     assert str(array.value) == str(scalar.value)
-    # Past the first block of points, ahead of a later bad point.
+    # Deep in a long array, ahead of a later bad point.
     xs = np.full(3000, 0.5)
     xs[2500], xs[2900] = bad, 3.0 * bad
     with pytest.raises(ValueError) as array:

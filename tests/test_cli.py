@@ -274,6 +274,17 @@ class TestTable:
         assert float(rows[2][1]) > 0.0
         assert "failed at h" in err
 
+    def test_failed_rung_prints_its_cause(self, capsys):
+        singular_d = -1.0 / (gamma(1.5) * 0.5**0.5)
+        argv = ["table", "--equation", f"relax:{singular_d!r}", "--alpha", "0.5",
+                "--scheme", "l1", "--h0", "0.5", "--levels", "2"]
+        _, out, err = _run(capsys, *argv)
+        assert err.splitlines() == [
+            "warning: ladder rung failed at h = 0.5: SingularDenominatorError: "
+            f"1 + Gamma(2-alpha)*D*h^alpha vanished for D={singular_d!r}, h=0.5"
+        ]
+        assert out.splitlines()[1] == "0.5,inf,"
+
 
 class TestGolden:
     def test_table_one_passes(self, capsys):
@@ -317,6 +328,26 @@ class TestGolden:
         statuses = [r[6] for r in _csv_rows(out)[1:]]
         assert statuses.count("fail") == 1
         assert "FAIL" in err
+
+    def test_comparison_failure_prints_worst_deviations(self, capsys, monkeypatch):
+        import caputofd.cli as cli_mod
+        from dataclasses import replace
+
+        catalog = golden_catalog()
+        table = catalog["table1:I"]
+        bumped = repr(float(table.rows[0].error_text) * 1.10)
+        rows = (replace(table.rows[0], error_text=bumped),) + table.rows[1:]
+        columns = {"table1:I": replace(table, rows=rows), "table1:II": catalog["table1:II"]}
+        monkeypatch.setattr(cli_mod, "golden_catalog", lambda: columns)
+        code, _, err = _run(capsys, "golden", "--table", "1")
+        assert code == 3
+        lines = err.splitlines()
+        assert lines[0] == "table1:I: FAIL (7/8 checks)"
+        worst = lines[1:4]
+        assert all(line.startswith("  CellCheck(h=") for line in worst)
+        assert f"h={table.rows[0].h!r}, kind='error'" in worst[0]
+        assert "passed=False" in worst[0]
+        assert lines[4:] == ["table1:II: PASS (8/8 checks)"]
 
     def test_json_shape(self, capsys):
         code, out, _ = _run(capsys, "golden", "--table", "4", "--format", "json")

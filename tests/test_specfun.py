@@ -203,7 +203,7 @@ def test_mittag_leffler_array_validation():
     with pytest.raises(ValueError) as array:
         mittag_leffler_1(1.5, np.array([1.0, -60.0, 2.0]))
     assert str(array.value) == str(scalar.value)
-    # Past the first block of points, ahead of a later bad argument.
+    # Deep in a long array, ahead of a later bad argument.
     zs = np.ones(3000)
     zs[2500], zs[2900] = -60.0, 70.0
     with pytest.raises(ValueError) as array:
