@@ -154,6 +154,38 @@ def test_exact_derivative_powers_through_libm(alpha):
     assert np.array_equal(exact_caputo_exp(alpha, UNIT_GRID), expected)
 
 
+def _scalar_cos_series(alpha, x, power):
+    """The term loop of exact_caputo_cos2pix for one point, in Python floats.
+
+    ``power`` is ``x ** (2 - alpha)``, taken by the caller with numpy like
+    the function under test does."""
+    if x == 0.0:
+        return 0.0
+    ratio = -4.0 * math.pi**2 * (x * x)
+    term = -4.0 * math.pi**2 * power / math.gamma(3.0 - alpha)
+    total, comp, scale = term, 0.0, abs(term)
+    for k in range(1, 300):
+        term *= ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
+        big = total + term
+        comp += (total - big) + term if abs(total) >= abs(term) else (term - big) + total
+        total = big
+        scale = max(scale, abs(term))
+        if abs(term) <= 1e-16 * scale:
+            break
+    return total + comp
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_cos_series_array_matches_scalar_series(alpha):
+    """The whole domain [0, 2] gives the Python-float series bit for bit."""
+    grid = np.linspace(0.0, 2.0, 4097)
+    powers = grid ** (2.0 - alpha)
+    expected = [
+        _scalar_cos_series(alpha, x, p) for x, p in zip(grid.tolist(), powers.tolist())
+    ]
+    assert np.array_equal(exact_caputo_cos2pix(alpha, grid), expected)
+
+
 #: Worst absolute error per interval of the series with its terms added
 #: exactly (``math.fsum`` per point), measured by the test below on its points.
 COS_FSUM_WORST = {(0.0, 1.0): 5.1514348342607263e-14, (1.0, 2.0): 1.7712054045659897e-11}
