@@ -14,11 +14,13 @@ with ``u_0 = y0`` and ``u_1`` supplied by a dedicated starting formula.
 
 Because the tail weights change with the step count ``m``, a naive
 implementation rebuilds the whole stencil every step and pays O(n^2) in
-weight construction alone.  The solver below instead freezes the
-head-corrected interior weights once and patches only the O(1) tail
-entries per step.  The harmonic deficits the tails read come from one
-compensated cumulative-sum table per exponent, built once per solve (on the
-leaf path below, from the Hurwitz zeta function).
+weight construction alone.  The solver below uses the stencil form of
+:mod:`caputofd.schemes` instead: one head-corrected interior vector, plus
+tail deltas computed once for every step count.  The delta at index
+``m - j`` multiplies ``u_j``, so each step adds at most three tail terms
+in ``u_0``, ``u_1`` and ``u_2`` to its history sum.  The harmonic deficit
+``S_m[1+alpha]`` they read comes from one compensated cumulative-sum table
+below the first leaf, and from the Hurwitz zeta function past it.
 
 The history sum is split by lag.  Lags below ``_NEAR_FIELD`` are summed
 directly; older history reaches each step through the blocked online
@@ -54,10 +56,8 @@ from .schemes import (
     _ASYM_N,
     _RIGHT_FAMILY,
     _deficit_table,
-    _generic_raw_weights,
-    _true_tail_weights,
-    build_weights,
-    normalized_lambda,
+    _interior_weights,
+    _tail_deltas,
     scheme_norm,
 )
 from .specfun import _elementwise, _libm, alpha_constants
@@ -80,23 +80,14 @@ __all__ = [
 #: completes so the blow-up profile can be inspected).
 _DIVERGENCE_LIMIT = 1e30
 
-#: Largest step count handled by full stencil rebuilds.  Above this the head
-#: and tail regions of every scheme are guaranteed disjoint and the
-#: incremental tail-patching path takes over.
-_SMALL_M = 6
-
 #: Lags below this width are summed directly; older lags reach a step
 #: through the FFT far field.  A solve with fewer steps has no far lag, and
 #: one with fewer steps than the first leaf is the plain march, bit for bit.
-#: Must exceed ``_SMALL_M``, whose full rebuilds carry their whole history.
 _NEAR_FIELD = 4096
 
 #: Steps from the first multiple of this size at or past both
 #: ``_NEAR_FIELD`` and ``_ASYM_N`` on are solved this many at a time.
 _LEAF = 64
-
-#: Step counts per vectorized tail evaluation, which bounds its temporaries.
-_TAIL_BLOCK = 4096
 
 
 class StartMode(Enum):
@@ -194,32 +185,6 @@ class SolveResult:
     def n(self) -> int:
         """Number of steps (``len(u) - 1``)."""
         return self.u.shape[0] - 1
-
-
-def _tail_deficits(scheme: SchemeId, alpha: float, m_max: int) -> tuple[list, list, list]:
-    """``S_m[alpha]``, ``S_m[1+alpha]`` and ``S_m[alpha-1]`` at index ``m <= m_max``.
-
-    Past the series crossover ``_ASYM_N`` the ``K``/``W`` coefficients read
-    no deficit and only the right-sum base ``-S_m[1+alpha]`` still does, so
-    no power is taken for the entries nobody reads; they are ``None``.
-    """
-    head = min(m_max, _ASYM_N)
-    a1_max = m_max if scheme in _RIGHT_FAMILY else head
-
-    def padded(s: float, top: int) -> list:
-        return _deficit_table(s, top).tolist() + [None] * (m_max - top)
-
-    return padded(alpha, head), padded(1.0 + alpha, a1_max), padded(alpha - 1.0, head)
-
-
-def _series_tail_weights(scheme: SchemeId, alpha: float, ms: np.ndarray) -> tuple:
-    """Tail weights of the stencils for every step count in ``ms``, as arrays.
-
-    Every ``m`` must lie past ``_ASYM_N``.  ``S_m[1+alpha] - zeta(1+alpha)``
-    is the Hurwitz ``-zeta(1+alpha, m)`` here, not a running sum.
-    """
-    s_a1 = -special.zeta(1.0 + alpha, ms) if scheme in _RIGHT_FAMILY else None
-    return _true_tail_weights(scheme, alpha, ms, None, s_a1, None)
 
 
 def _far_field_splits(n: int, width: int, align: int) -> dict[int, tuple[int, int]]:
@@ -338,14 +303,16 @@ def solve(
     lag ``_NEAR_FIELD`` (4096).  The far lags come from a dyadic
     divide-and-conquer over the grid: once the left half ``[lo, mid)`` of a
     node is solved, one ``rfft``/``irfft`` product adds its far-lag
-    contribution to every step of ``[mid, hi)``.  Steps below the first
-    leaf (step 4096) are marched one at a time, the near lags a direct dot
-    product per step.  From there on the steps go in leaves of ``_LEAF``
-    (64): the forcing and the tail patches of all of them are computed at
-    once, each leaf adds the near lags from before it with one product
-    against a ``64 x 4095`` Toeplitz slab of the weights, and solves for
-    its own values by forward substitution on the leaf's lower-triangular
-    Toeplitz matrix.  The march stays causal for any ``D``, at
+    contribution to every step of ``[mid, hi)``.  The tail deltas of every
+    step count are computed once, up front; step m adds ``t_j[m] * u_j``
+    for each delta, and at step 2 a third delta lands on ``lambda_0``.
+    Steps below the first leaf (step 4096) are marched one at a time, the
+    near lags a direct dot product per step.  From there on the steps go in
+    leaves of ``_LEAF`` (64): the forcing and the tail terms of all of them
+    are folded into one right-hand side, each leaf adds the near lags from
+    before it with one product against a ``64 x 4095`` Toeplitz slab of the
+    weights, and solves for its own values by forward substitution on the
+    leaf's lower-triangular Toeplitz matrix.  The march stays causal for any ``D``, at
     O(n * _NEAR_FIELD) direct plus O(n log^2 n) FFT work.  A solve with
     fewer steps than the first leaf is the plain march bit for bit; past it
     the sums differ from the plain march's only by rounding.  The forcing
@@ -378,68 +345,72 @@ def solve(
     d_ha = problem.D * ha
     mode = start if start is not None else default_start_mode(scheme)
 
-    u = np.empty(n + 1)
-    u[0] = problem.y0
-    u[1] = first_step(problem, h, mode)
-    diverged = not math.isfinite(u[1]) or abs(u[1]) > _DIVERGENCE_LIMIT
-
     # far[m] collects sum_{k >= width} gen_lam[k] * u[m-k], block by block,
     # through far_kernel: gen_lam with its first `width` lags zeroed.  A
     # leaf no longer than `width` keeps every lag inside it in the near field.
     width = _NEAR_FIELD
     leaf = min(_LEAF, width)
     first_leaf = -(-max(width, _ASYM_N + 1) // leaf) * leaf
+    march_end = min(n, first_leaf - 1)
     splits = _far_field_splits(n, width, leaf)
     far = np.zeros(n + 1)
     far_kernel = np.zeros(n + 1)
 
-    gen_lam = -_generic_raw_weights(scheme, alpha, n, c) / norm
+    gen_lam = -_interior_weights(scheme, alpha, n, c) / norm
     gen_lam[0] = -gen_lam[0]
     far_kernel[width:] = gen_lam[width:]
 
-    march_end = min(n, first_leaf - 1)
-    s_a, s_a1, s_am1 = _tail_deficits(scheme, alpha, march_end)
+    u = np.empty(n + 1)
+    u[0] = problem.y0
+    u[1] = first_step(problem, h, mode)
     forcing = _forcing_on_grid(problem.forcing, h, n)
     march_forcing = forcing[: first_leaf - 2].tolist()
+    # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.
+    # They are built after the forcing and freed once the leaves have them,
+    # so that no O(n) array of theirs meets the forcing's temporaries or the
+    # leaves' FFTs, which set the peak memory of a long solve.
+    ms = np.arange(2, n + 1)
+    s1 = None
+    if scheme in _RIGHT_FAMILY:
+        s1 = -special.zeta(1.0 + alpha, ms)
+        s1[: march_end - 1] = _deficit_table(1.0 + alpha, march_end)[2:]
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, ms, s1)]
+    del ms, s1
+    march_tails = [t[: march_end - 1].tolist() for t in tails]
+    # Step 2 reads its tail terms as stencil weights; a third delta lands
+    # on lambda_0.  Every later step shares one denominator.
+    t = [row[0] for row in march_tails] + [0.0] * (3 - len(tails))
+    lam0_2, lam0 = gen_lam[0] - t[2], gen_lam[0]
+    for lam0_m in (lam0_2, lam0)[: n - 1]:
+        if lam0_m + d_ha == 0.0:
+            raise SingularDenominatorError(
+                f"lambda_0 + D*h^alpha vanished (lambda_0={lam0_m!r}, D*h^alpha={d_ha!r})"
+            )
+    den = lam0 + d_ha
     # A divergent run overflows to inf and nan; `diverged` reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(2, march_end + 1):
+        history = (gen_lam[1] + t[1]) * u[1] + (gen_lam[2] + t[0]) * u[0]
+        u[2] = (ha * march_forcing[0] + history) / (lam0_2 + d_ha)
+        heads = u[:3].tolist()
+        for m in range(3, march_end + 1):
             split = splits.get(m)
             if split is not None:
                 _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
-            if m <= _SMALL_M:
-                lam = normalized_lambda(build_weights(scheme, alpha, m))
-                lam0 = lam[0]
-                history = float(np.dot(lam[1:], u[m - 1 :: -1]))
+            if m < width:
+                history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
             else:
-                lam0 = gen_lam[0]
-                if m < width:
-                    history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
-                else:
-                    near = float(np.dot(gen_lam[1:width], u[m - 1 : m - width : -1]))
-                    history = near + far[m]
-                tails = _true_tail_weights(scheme, alpha, m, s_a[m], s_a1[m], s_am1[m])
-                for idx, w_true in tails:
-                    history += (-(w_true / norm) - gen_lam[idx]) * u[m - idx]
-            den = lam0 + d_ha
-            if den == 0.0:
-                raise SingularDenominatorError(
-                    f"lambda_0 + D*h^alpha vanished (lambda_0={lam0!r}, D*h^alpha={d_ha!r})"
-                )
-            value = (ha * march_forcing[m - 2] + history) / den
-            u[m] = value
-            if not diverged and (not math.isfinite(value) or abs(value) > _DIVERGENCE_LIMIT):
-                diverged = True
+                near = float(np.dot(gen_lam[1:width], u[m - 1 : m - width : -1]))
+                history = near + far[m]
+            for j, row in enumerate(march_tails):
+                history += row[m - 2] * heads[j]
+            u[m] = (ha * march_forcing[m - 2] + history) / den
 
         if n >= first_leaf:
-            # Steps past the march: forcing and tail patches (which touch
-            # only u_0, u_1, u_2) for all of them, _TAIL_BLOCK at a time ...
+            # Steps past the march: forcing and tail terms for all of them ...
             rhs = ha * forcing[first_leaf - 2 :]
-            for lo in range(first_leaf, n + 1, _TAIL_BLOCK):
-                ms = np.arange(lo, min(lo + _TAIL_BLOCK, n + 1))
-                part = rhs[lo - first_leaf : lo - first_leaf + ms.size]
-                for idx, w_true in _series_tail_weights(scheme, alpha, ms):
-                    part += (-(w_true / norm) - gen_lam[idx]) * u[ms - idx]
+            for j, row in enumerate(tails):
+                rhs += row[first_leaf - 2 :] * u[j]
+            del tails
             # ... then one leaf at a time: slab[i] @ u[lo - width + 1 : lo]
             # sums the near lags reaching step lo + i from before the leaf,
             # and tri (lambda_0 + D*h^alpha on the diagonal, -gen_lam[k] on
@@ -459,7 +430,7 @@ def solve(
                 u[lo:hi] = solve_triangular(
                     tri[:rows, :rows], b, lower=True, check_finite=False
                 )
-            diverged = diverged or not np.all(np.abs(u[first_leaf:]) <= _DIVERGENCE_LIMIT)
+        diverged = not bool(np.all(np.abs(u) <= _DIVERGENCE_LIMIT))
 
     max_error: Optional[float] = None
     if problem.exact is not None:
@@ -492,21 +463,11 @@ def stability_check(
 
     alpha = problem.alpha
     norm = scheme_norm(scheme, alpha)
-    head = min(max(n, 2), _ASYM_N)
-    s_a, s_a1, s_am1 = _tail_deficits(scheme, alpha, head)
-    lower = math.inf
-    for m in range(2, head + 1):
-        if m <= _SMALL_M:
-            lam_last = float(normalized_lambda(build_weights(scheme, alpha, m))[m])
-        else:
-            tails = _true_tail_weights(scheme, alpha, m, s_a[m], s_a1[m], s_am1[m])
-            lam_last = next(-w / norm for idx, w in tails if idx == m)
-        lower = min(lower, m**alpha * lam_last)
-    for lo in range(_ASYM_N + 1, n + 1, _TAIL_BLOCK):
-        # The last tail weight always sits at index m.
-        ms = np.arange(lo, min(lo + _TAIL_BLOCK, n + 1))
-        w_last = _series_tail_weights(scheme, alpha, ms)[-1][1]
-        lower = min(lower, float(np.min(ms**alpha * (-w_last / norm))))
+    ms = np.arange(2, max(n, 2) + 1)
+    # lambda_m of the m-step stencil: its interior weight at m plus d_0(m).
+    w_last = _interior_weights(scheme, alpha, ms[-1], alpha_constants(alpha))[2:]
+    w_last += _tail_deltas(scheme, alpha, ms)[0]
+    lower = float(np.min(ms**alpha * (-w_last / norm)))
     if -lower / problem.x_end**alpha < problem.D:
         return StabilityVerdict.ConditionallyConvergent
     return StabilityVerdict.OutsideTheory

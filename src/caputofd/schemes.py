@@ -6,9 +6,13 @@ by a one-sided stencil
     y^(alpha)(x)  ~=  (1/(C h^alpha)) * sum_{k=0}^n w_k y(x - k h),
 
 where ``C`` is a normalization constant fixed by the scheme family.  Three
-families are implemented, each as a base vector plus optional head (indices
-0..2) and tail (indices n-2..n) correction stencils; on coarse grids the
-head and tail overlap and their contributions are summed.
+families are implemented.  Each stencil is one fixed interior vector, the
+family's formula at every index with an optional head correction on
+indices 0..2, plus up to three tail deltas ``d_j(n)`` added at index
+``n - j``.  The deltas turn the interior formula into the true last
+weights and carry the tail corrections; on coarse grids the head and tail
+overlap and their contributions simply add.  The pointwise builder, the
+solver and the stability check all use this one form.
 
 * L1 family, ``C = Gamma(2-alpha)``: differences of ``k^(1-alpha)``.
   ``L1`` is the plain scheme of order ``2-alpha``; ``L1Second`` adds a
@@ -39,7 +43,7 @@ Euler-Maclaurin expansions instead.  The branches do not meet at full
 precision: against mpmath (40 digits, alpha = 0.1, 0.2, ..., 0.9) the
 n = 50 closed forms are off by up to 2.1e-13 (W_n), 4.3e-10 (K_1) and
 6.2e-6 (K_2) relative, while the n = 51 series are within 2.4e-13.  A
-better K_2 crossover is an open item (ROADMAP.md, item 4).
+better K_2 crossover is an open item (ROADMAP.md, item 3).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
 from .specfun import AlphaConstants, alpha_constants, zeta
 
@@ -259,27 +264,28 @@ def k2_coefficient(alpha: float, n: int) -> float:
 # --- stencil construction ---------------------------------------------------
 
 
-def _base_vector(scheme: SchemeId, alpha: float, n: int, c: AlphaConstants) -> np.ndarray:
+def _interior_weights(scheme: SchemeId, alpha: float, n: int, c: AlphaConstants) -> np.ndarray:
+    """Interior formula at every index ``0..n``, plus the head correction.
+
+    Every m-step stencil with ``m <= n`` equals ``w[:m + 1]`` plus the
+    :func:`_tail_deltas` of ``m`` at its last indices.
+    """
     w = np.zeros(n + 1)
     if scheme in _L1_FAMILY:
         p = np.arange(n + 2, dtype=float) ** (1.0 - alpha)
         w[0] = 1.0
-        w[1:n] = p[2 : n + 1] - 2.0 * p[1:n] + p[0 : n - 1]
-        w[n] = p[n - 1] - p[n]
-        return w
-    if scheme in _MID_FAMILY:
-        idx = np.arange(n + 1, dtype=float)
+        w[1:] = p[2:] - 2.0 * p[1:-1] + p[:-2]
+    elif scheme in _MID_FAMILY:
+        idx = np.arange(n + 2, dtype=float)
         idx[0] = 1.0  # p[0] is never read
         p = idx**-alpha
         w[0] = 1.0
-        w[1 : n - 1] += p[2:n]       # +(j+1)^-a while j <= n-2
-        w[2 : n + 1] -= p[1:n]       # -(j-1)^-a once j >= 2
-        return w
-    p = np.arange(1, n, dtype=float) ** (-1.0 - alpha)
-    w[0] = -c.zeta_ap1
-    w[1:n] = p
-    # last weight is -S_n[1+alpha]; reuse the same powers for bit consistency
-    w[n] = c.zeta_ap1 - math.fsum(p.tolist())
+        w[1] = p[2]
+        w[2:] = p[3:] - p[1:-2]
+    else:
+        w[0] = -c.zeta_ap1
+        w[1:] = np.arange(1, n + 1, dtype=float) ** (-1.0 - alpha)
+    _apply_head(scheme, w, c)
     return w
 
 
@@ -306,29 +312,64 @@ def _apply_head(scheme: SchemeId, w: np.ndarray, c: AlphaConstants) -> None:
         w[2] += 0.5 * c.zeta_a - 0.5 * c.zeta_am1
 
 
-def _apply_tail(scheme: SchemeId, w: np.ndarray, alpha: float, n: int) -> None:
-    if scheme in (SchemeId.Mid2mAlpha, SchemeId.Mid2):
-        wn = midpoint_tail_deficit(alpha, n)
-        w[n - 1] -= 2.0 * wn
-        w[n] += 2.0 * wn
-    elif scheme is SchemeId.Right2mAlpha:
-        k1 = k1_coefficient(alpha, n)
-        w[n - 1] -= k1
-        w[n] += k1
-    elif scheme is SchemeId.Right3mAlpha:
-        k1 = k1_coefficient(alpha, n)
-        k2 = k2_coefficient(alpha, n)
-        w[n - 2] += 0.5 * k1 - k2
-        w[n - 1] += -2.0 * k1 + 2.0 * k2
-        w[n] += 1.5 * k1 - k2
+def _tail_deltas(
+    scheme: SchemeId, alpha: float, ms: np.ndarray, s1: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """Tail deltas ``(d_0, d_1, ...)`` of the m-step stencils for ascending ``ms >= 2``.
+
+    ``d_j[i]`` is what the ``ms[i]``-step stencil adds to the interior
+    weight at index ``ms[i] - j``: the true last weights minus the interior
+    formula, plus the ``W_n`` or ``K_1``/``K_2`` correction.  The closed
+    forms in ``S_m`` serve ``m <= _ASYM_N`` and the series serve the rest.
+    ``s1`` gives ``S_m[1+alpha]`` at each m of ``ms`` (right-sum family
+    only); by default it is the running compensated sum up to ``_ASYM_N``
+    and the Hurwitz ``-zeta(1+alpha, m)`` past it.
+    """
+    mf = ms.astype(float)
+    cut = int(np.searchsorted(ms, _ASYM_N, side="right"))
+    head, tail = mf[:cut], mf[cut:]
+
+    def deficit(s: float) -> np.ndarray:
+        # S_m[s] at the closed-form m; empty when every m is past the crossover
+        return _deficit_table(s, int(ms[cut - 1]))[ms[:cut]] if cut else head
+
+    if scheme in _L1_FAMILY:
+        return (mf ** (1.0 - alpha) - (mf + 1.0) ** (1.0 - alpha),)
+    if scheme in _MID_FAMILY:
+        d0 = -((mf + 1.0) ** -alpha)
+        d1 = -(mf**-alpha)
+        if scheme in (SchemeId.Mid2mAlpha, SchemeId.Mid2):
+            wn = np.concatenate(
+                (_w_mid_closed(alpha, head, deficit(alpha)), _w_mid_series(alpha, tail))
+            )
+            d0 += 2.0 * wn
+            d1 -= 2.0 * wn
+        return d0, d1
+    if s1 is None:
+        s1 = -special.zeta(1.0 + alpha, mf)
+        s1[:cut] = deficit(1.0 + alpha)
+    d0 = -(s1 + mf ** (-1.0 - alpha))
+    if scheme in (SchemeId.RightLow, SchemeId.RightRaw):
+        return (d0,)
+    s_a = deficit(alpha)
+    k1 = np.concatenate((_k1_closed(alpha, head, s_a, s1[:cut]), _k1_series(alpha, tail)))
+    if scheme is SchemeId.Right2mAlpha:
+        return d0 + k1, -k1
+    k2 = np.concatenate(
+        (
+            _k2_closed(alpha, head, s_a, s1[:cut], deficit(alpha - 1.0)),
+            _k2_series(alpha, tail),
+        )
+    )
+    return d0 + 1.5 * k1 - k2, -2.0 * k1 + 2.0 * k2, 0.5 * k1 - k2
 
 
 def build_weights(scheme: SchemeId, alpha: float, n: int) -> WeightVector:
     """Construct the full stencil of ``scheme`` at order ``alpha`` on ``n`` steps.
 
-    The construction is strictly base + head stencil + tail stencil with
-    overlapping contributions summed, which is what makes the coarse-grid
-    (n = 2, 3) vectors come out right without special cases.
+    The stencil is the head-corrected interior vector plus the tail deltas
+    at indices ``n, n-1, n-2``; where head and tail overlap on coarse grids
+    (n = 2, 3) the contributions simply add.
 
     Raises:
         ValueError: for ``n < 2`` or ``alpha`` outside (0, 1).
@@ -336,9 +377,9 @@ def build_weights(scheme: SchemeId, alpha: float, n: int) -> WeightVector:
     if n < 2:
         raise ValueError(f"build_weights needs n >= 2, got {n!r}")
     c = alpha_constants(alpha)
-    w = _base_vector(scheme, alpha, n, c)
-    _apply_head(scheme, w, c)
-    _apply_tail(scheme, w, alpha, n)
+    w = _interior_weights(scheme, alpha, n, c)
+    for j, d in enumerate(_tail_deltas(scheme, alpha, np.array([n]))):
+        w[n - j] += d[0]
     return WeightVector(scheme=scheme, alpha=alpha, n=n, weights=w, norm=scheme_norm(scheme, alpha))
 
 
@@ -352,80 +393,6 @@ def normalized_lambda(wv: WeightVector) -> np.ndarray:
     lam = -wv.weights / wv.norm
     lam[0] = -lam[0]
     return lam
-
-
-# --- generic per-step pieces used by the relaxation solver ------------------
-
-
-def _generic_raw_weights(scheme: SchemeId, alpha: float, n_max: int, c: AlphaConstants) -> np.ndarray:
-    """Head-corrected interior weights through index ``n_max >= 2``, no tails.
-
-    For step counts m >= 7 the true stencil differs from this array only at
-    the scheme's tail indices, so a solver can precompute it once and patch
-    O(1) entries per step.
-    """
-    w = np.zeros(n_max + 1)
-    if scheme in _L1_FAMILY:
-        p = np.arange(n_max + 2, dtype=float) ** (1.0 - alpha)
-        w[0] = 1.0
-        w[1:] = p[2:] - 2.0 * p[1:-1] + p[:-2]
-    elif scheme in _MID_FAMILY:
-        idx = np.arange(n_max + 2, dtype=float)
-        idx[0] = 1.0  # p[0] is never read
-        p = idx**-alpha
-        w[0] = 1.0
-        w[1] = p[2]
-        w[2:] = p[3:] - p[1:-2]
-    else:
-        w[0] = -c.zeta_ap1
-        w[1:] = np.arange(1, n_max + 1, dtype=float) ** (-1.0 - alpha)
-    _apply_head(scheme, w, c)
-    return w
-
-
-def _true_tail_weights(
-    scheme: SchemeId,
-    alpha: float,
-    m: int | np.ndarray,
-    s_a: float | None,
-    s_a1: float | np.ndarray | None,
-    s_am1: float | None,
-) -> tuple[tuple[int | np.ndarray, float | np.ndarray], ...]:
-    """Raw tail weights ``(index, w)`` of the m-step stencil.
-
-    The caller supplies the deficits ``S_m[s]`` at this m (the solver reads
-    them from :func:`_deficit_table`); beyond the asymptotic crossover only
-    ``s_a1`` is consulted (the right-sum base needs ``S_m[1+alpha]`` at
-    every m, the K/W coefficients switch to their series).  ``m`` may also
-    be an int array of step counts, all past the crossover, with ``s_a1``
-    an array alongside; every index and weight then comes back as an array.
-    """
-    if isinstance(m, np.ndarray):
-        mf, series = m.astype(float), m.min() > _ASYM_N
-    else:
-        mf, series = float(m), m > _ASYM_N
-    if scheme in _L1_FAMILY:
-        return ((m, (mf - 1.0) ** (1.0 - alpha) - mf ** (1.0 - alpha)),)
-    if scheme in _MID_FAMILY:
-        wm1 = -((mf - 2.0) ** -alpha)
-        wm = -((mf - 1.0) ** -alpha)
-        if scheme in (SchemeId.Mid2mAlpha, SchemeId.Mid2):
-            wn = _w_mid_series(alpha, mf) if series else _w_mid_closed(alpha, mf, s_a)
-            wm1 -= 2.0 * wn
-            wm += 2.0 * wn
-        return ((m - 1, wm1), (m, wm))
-    base_last = -s_a1
-    if scheme in (SchemeId.RightLow, SchemeId.RightRaw):
-        return ((m, base_last),)
-    k1 = _k1_series(alpha, mf) if series else _k1_closed(alpha, mf, s_a, s_a1)
-    if scheme is SchemeId.Right2mAlpha:
-        return ((m - 1, (mf - 1.0) ** (-1.0 - alpha) - k1), (m, base_last + k1))
-    k2 = _k2_series(alpha, mf) if series else _k2_closed(alpha, mf, s_a, s_a1, s_am1)
-    return (
-        (m - 2, (mf - 2.0) ** (-1.0 - alpha) + 0.5 * k1 - k2),
-        (m - 1, (mf - 1.0) ** (-1.0 - alpha) - 2.0 * k1 + 2.0 * k2),
-        (m, base_last + 1.5 * k1 - k2),
-    )
 
 
 # --- leading error coefficients ---------------------------------------------

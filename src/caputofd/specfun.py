@@ -155,8 +155,13 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
 
     Computed from the defining power series ``sum_k z^k / Gamma(k + beta)``
     with a multiplicative term recurrence.  Truncation stops once the next
-    term falls below ``1e-18`` of the largest partial sum seen, which keeps
-    the result at full double precision for moderate ``|z|``.
+    term falls below ``1e-18`` of the largest partial sum seen.  Measured
+    against mpmath (40 digits, beta in [1.1, 2]): on the positive real axis
+    the result is within 3.1e-15 relative up to z = 50.  On the negative
+    real axis the alternating series cancels, and the worst relative error
+    grows with ``|z|``: 3.1e-14 up to 5, 6.7e-12 up to 10, 9.2e-7 up to 20
+    and 6.1e-3 up to 30.  Past about ``|z| = 35`` the value is wrong: at
+    beta = 1.5, z = -50 it is -10982.3 where the function is 0.0114.
 
     An array of arguments runs through one loop over terms, all points
     still summing at once; each point stops at its own truncation point.

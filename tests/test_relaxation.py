@@ -1,6 +1,6 @@
 """Tests for the relaxation-equation solver.
 
-The solver's incremental tail-patching path is checked against a naive
+The solver's interior-plus-tail-delta march is checked against a naive
 reimplementation that rebuilds the full stencil every step; benchmark error
 levels are pinned against independently tabulated reference values.
 """
@@ -245,6 +245,18 @@ class TestSolve:
             result = solve(problem, scheme, n, start)
             reference = _naive_solve(problem, scheme, n, start)
             np.testing.assert_allclose(result.u, reference, rtol=0, atol=5e-14)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+    def test_first_steps_match_stepwise_rebuild(self, scheme):
+        # Steps 2..6, where head and tail overlap; at step 2 the third tail
+        # delta of Right3mAlpha lands on lambda_0.
+        start = default_start_mode(scheme)
+        catalog = equation_catalog(0.5, D=-1.0)
+        for problem in (catalog[1], catalog[3]):
+            for n in range(2, 7):
+                result = solve(problem, scheme, n, start)
+                reference = _naive_solve(problem, scheme, n, start)
+                np.testing.assert_allclose(result.u, reference, rtol=0, atol=5e-14)
 
     def test_result_geometry(self):
         problem = equation_catalog(0.25)[0]
@@ -542,8 +554,10 @@ class TestStability:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_verdict_flips_at_stencil_bound(self, alpha):
-        # Oracle: the bound read off full stencils, which share no tail code
-        # with the solver.  The minimum sits at m = 200 for most schemes.
+        # Oracle: the bound read off full stencils, one build_weights call
+        # per m.  Those share _tail_deltas with stability_check, so this
+        # gates the vectorized minimum; test_stencil_tails_against_mpmath
+        # gates the tails.  The minimum sits at m = 200 for most schemes.
         n, x_end = 200, 2.0
 
         def verdict(scheme, damping):

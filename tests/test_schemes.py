@@ -1,8 +1,8 @@
 """Tests for weight construction, deficit sums, and stencil properties.
 
 The closed-form expected stencils below are written out independently of the
-builder (which assembles base + head + tail additively), so these tests catch
-any drift in either representation.  Deficit reference values come from
+builder (which adds head corrections and tail deltas to one interior vector),
+so these tests catch any drift in either.  Deficit reference values come from
 mpmath at 40 digits.
 """
 
@@ -206,6 +206,137 @@ def test_right_third_general(a, n):
     w.append(-s1 + 1.5 * kay1 - kay2)
     wv = build_weights(SchemeId.Right3mAlpha, a, n)
     np.testing.assert_allclose(wv.weights, w, rtol=0.0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# last three weights against mpmath
+# ---------------------------------------------------------------------------
+
+FAMILIES = {
+    "L1": (SchemeId.L1, SchemeId.L1Second),
+    "Mid": (SchemeId.MidLow, SchemeId.MidRaw, SchemeId.Mid2mAlpha, SchemeId.Mid2),
+    "Right": (SchemeId.RightLow, SchemeId.RightRaw, SchemeId.Right2mAlpha, SchemeId.Right3mAlpha),
+}
+TAIL_ALPHAS = [0.1, 0.3, 0.5, 0.7, 0.9]
+TAIL_NS = list(range(2, 61)) + [4095, 4096, 65536]
+
+#: Bounds on the worst ``|w - ref| / max|w|`` over the last three weights,
+#: per family and per n-range (n <= 50 reads the closed forms, n > 50 the
+#: series): 1.1 times what this test measured on the earlier builder, which
+#: summed every deficit with ``math.fsum`` and shared no tail code with
+#: the solver.
+TAIL_BOUNDS = {
+    ("L1", True): 1.1 * 6.413e-15,
+    ("L1", False): 1.1 * 2.073e-12,  # interior second differences at n = 65536
+    ("Mid", True): 1.1 * 6.081e-15,
+    ("Mid", False): 1.1 * 1.078e-16,
+    ("Right", True): 1.1 * 1.280e-12,  # the K_2 closed form at n = 50
+    ("Right", False): 1.1 * 9.069e-16,
+}
+
+
+def _mp_deficits(mp, s, ns):
+    """``S_n[s] = -zeta(s, n)`` (Hurwitz) in mpmath for ascending ``ns``.
+
+    Each run of consecutive n starts from the Hurwitz value and steps by
+    ``S_{n+1} = S_n + n^-s``.  For ``s < 0`` at an integer n mpmath sums all
+    n terms, so past n = 60 the start comes from ``n + d``, ``d = 2^-30``,
+    where mpmath uses Euler-Maclaurin, through the Taylor series in the
+    shift: ``zeta(s, n) = sum_j (s)_j / j! * d^j * zeta(s + j, n + d)``.
+    """
+    d = mp.ldexp(1, -30)
+    out = {}
+    for n in ns:
+        if n - 1 in out:
+            out[n] = out[n - 1] + mp.mpf(n - 1) ** -s
+        elif s > 0 or n <= 60:
+            out[n] = -mp.zeta(s, n)
+        else:
+            terms = (mp.rf(s, j) / mp.factorial(j) * d**j * mp.zeta(s + j, n + d) for j in range(4))
+            out[n] = -mp.fsum(terms)
+    return out
+
+
+def _mp_last_weights(mp, scheme, a, n, zetas, s0, s1, sm):
+    """``w_{n-2}, w_{n-1}, w_n`` of the n-step stencil, from the printed formulas.
+
+    Base weights, head corrections and tail corrections are summed in
+    mpmath, from ``zetas = (zeta(a), zeta(a-1), zeta(a+1))``, the harmonic
+    deficits ``s0, s1, sm = S_n[a], S_n[1+a], S_n[a-1]`` and the closed
+    forms of ``W_n``, ``K_1`` and ``K_2`` at every n.
+    """
+    m = mp.mpf(n)
+    z, zm, zp = zetas
+
+    def base(k):
+        if scheme in FAMILIES["L1"]:
+            if k == 0:
+                return mp.mpf(1)
+            if k == n:
+                return (k - 1) ** (1 - a) - m ** (1 - a)
+            return (k + 1) ** (1 - a) - 2 * mp.mpf(k) ** (1 - a) + (k - 1) ** (1 - a)
+        if scheme in FAMILIES["Mid"]:
+            if k == 0:
+                return mp.mpf(1)
+            up = mp.mpf(k + 1) ** -a if k <= n - 2 else 0
+            down = mp.mpf(k - 1) ** -a if k >= 2 else 0
+            return up - down
+        if k == 0:
+            return -zp
+        return -s1 if k == n else mp.mpf(k) ** (-1 - a)
+
+    w = {k: base(k) for k in range(n - 2, n + 1)}
+
+    def add(k, value):
+        if k in w:
+            w[k] += value
+
+    if scheme is SchemeId.L1Second:
+        add(0, -zm), add(1, 2 * zm), add(2, -zm)
+    elif scheme in (SchemeId.MidRaw, SchemeId.Mid2mAlpha, SchemeId.Mid2):
+        add(0, -2 * z), add(1, 2 * z)
+        if scheme is SchemeId.Mid2:
+            d = 2 * zm - z
+            add(0, d), add(1, -2 * d), add(2, d)
+    elif scheme in (SchemeId.RightRaw, SchemeId.Right2mAlpha):
+        add(0, z), add(1, -z)
+    elif scheme is SchemeId.Right3mAlpha:
+        add(0, 1.5 * z - 0.5 * zm), add(1, -2 * z + zm), add(2, 0.5 * z - 0.5 * zm)
+
+    wn = s0 - m ** (1 - a) / (1 - a)
+    k1 = m * s1 - s0 + m ** (1 - a) / (a * (1 - a))
+    k2 = m * m / 2 * s1 - m * s0 + sm / 2 + m ** (2 - a) / (a * (a - 1) * (a - 2))
+    if scheme in (SchemeId.Mid2mAlpha, SchemeId.Mid2):
+        add(n - 1, -2 * wn), add(n, 2 * wn)
+    elif scheme is SchemeId.Right2mAlpha:
+        add(n - 1, -k1), add(n, k1)
+    elif scheme is SchemeId.Right3mAlpha:
+        add(n - 2, k1 / 2 - k2), add(n - 1, -2 * k1 + 2 * k2), add(n, 1.5 * k1 - k2)
+    return [w[k] for k in range(n - 2, n + 1)]
+
+
+def _worst_tail_errors(mp):
+    worst = dict.fromkeys(TAIL_BOUNDS, 0.0)
+    with mp.workdps(30):
+        for alpha in TAIL_ALPHAS:
+            a = mp.mpf(alpha)
+            zetas = mp.zeta(a), mp.zeta(a - 1), mp.zeta(a + 1)
+            deficits = [_mp_deficits(mp, s, TAIL_NS) for s in (a, 1 + a, a - 1)]
+            for n in TAIL_NS:
+                for family, schemes in FAMILIES.items():
+                    for scheme in schemes:
+                        w = build_weights(scheme, alpha, n).weights
+                        ref = _mp_last_weights(mp, scheme, a, n, zetas, *(d[n] for d in deficits))
+                        err = max(abs(mp.mpf(float(x)) - r) for x, r in zip(w[-3:], ref))
+                        key = (family, n <= 50)
+                        worst[key] = max(worst[key], float(err) / float(np.max(np.abs(w))))
+    return worst
+
+
+def test_stencil_tails_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = _worst_tail_errors(mpmath)
+    assert all(worst[key] <= bound for key, bound in TAIL_BOUNDS.items()), worst
 
 
 # ---------------------------------------------------------------------------
