@@ -10,10 +10,6 @@ from .schemes import (
     WeightVector,
     build_weights,
     expansion_coefficients,
-    harmonic_deficit,
-    k1_coefficient,
-    k2_coefficient,
-    midpoint_tail_deficit,
     nominal_order,
     normalized_lambda,
     scheme_norm,

@@ -341,32 +341,31 @@ def _zeta_shift_derivative(t: float, m: int) -> float:
     return (-1.0) ** m * (direct + tail)
 
 
-def _caputo_arctan_series(alpha: float, x: float) -> float:
-    # Geometric expansion of 1/(1+it) inside the definition; converges for
-    # all x > 0 with ratio x/sqrt(1+x^2).
-    c = alpha_constants(alpha)
-    w = 1j * x / (1.0 + 1j * x)
-    term = x ** (1.0 - alpha) / (1.0 + 1j * x)
-    acc = 0.0j
+def _geometric_caputo(alpha: float, first: complex, ratio: complex) -> float:
+    """Real part of ``sum_m first * ratio^m / ((m + 1 - alpha) Gamma(1 - alpha))``.
+
+    The Caputo derivative of a function whose derivative expands in a
+    geometric series inside the definition.  Complex arithmetic on real
+    inputs does the same float operations as real arithmetic would.
+    """
+    term, acc = complex(first), 0.0j
     for m in range(400):
         acc += term / (m + 1.0 - alpha)
-        term *= w
+        term *= ratio
         if abs(term) < 1e-18 * max(abs(acc), 1e-300):
             break
-    return acc.real / c.gamma_1ma
+    return acc.real / alpha_constants(alpha).gamma_1ma
+
+
+def _caputo_arctan_series(alpha: float, x: float) -> float:
+    # 1/(1+it) expanded geometrically; converges for all x > 0 with ratio
+    # x/sqrt(1+x^2).
+    return _geometric_caputo(alpha, x ** (1.0 - alpha) / (1.0 + 1j * x), 1j * x / (1.0 + 1j * x))
 
 
 def _caputo_log1p_series(alpha: float, x: float) -> float:
-    c = alpha_constants(alpha)
-    r = x / (1.0 + x)
-    term = x ** (1.0 - alpha) / (1.0 + x)
-    acc = 0.0
-    for m in range(400):
-        acc += term / (m + 1.0 - alpha)
-        term *= r
-        if abs(term) < 1e-18 * max(abs(acc), 1e-300):
-            break
-    return acc / c.gamma_1ma
+    # 1/(1+t) expanded geometrically, with ratio x/(1+x).
+    return _geometric_caputo(alpha, x ** (1.0 - alpha) / (1.0 + x), x / (1.0 + x))
 
 
 _TWO_PI = 2.0 * math.pi

@@ -18,9 +18,11 @@ weight construction alone.  The solver below uses the stencil form of
 :mod:`caputofd.schemes` instead: one head-corrected interior vector, plus
 tail deltas computed once for every step count.  The delta at index
 ``m - j`` multiplies ``u_j``, so each step adds at most three tail terms
-in ``u_0``, ``u_1`` and ``u_2`` to its history sum.  The harmonic deficit
-``S_m[1+alpha]`` they read comes from one compensated cumulative-sum table
-below the first leaf, and from the Hurwitz zeta function past it.
+in ``u_0``, ``u_1`` and ``u_2`` to its history sum.  How a tail
+coefficient is computed is left to :mod:`caputofd.schemes`; the solver
+only names its last marched step, up to which the harmonic deficit
+``S_m[1+alpha]`` comes from the running compensated table (the Hurwitz
+zeta function serves the leaves).
 
 The history sum is split by lag.  Lags below ``_NEAR_FIELD`` are summed
 directly; older history reaches each step through the blocked online
@@ -46,7 +48,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_triangular, toeplitz
 
@@ -54,8 +55,6 @@ from .caputo import exact_caputo_cos2pix, exact_caputo_exp, exact_caputo_power
 from .schemes import (
     SchemeId,
     _ASYM_N,
-    _RIGHT_FAMILY,
-    _deficit_table,
     _interior_weights,
     _tail_deltas,
     scheme_norm,
@@ -368,14 +367,9 @@ def solve(
     # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.
     # They are built after the forcing and freed once the leaves have them,
     # so that no O(n) array of theirs meets the forcing's temporaries or the
-    # leaves' FFTs, which set the peak memory of a long solve.
-    ms = np.arange(2, n + 1)
-    s1 = None
-    if scheme in _RIGHT_FAMILY:
-        s1 = -special.zeta(1.0 + alpha, ms)
-        s1[: march_end - 1] = _deficit_table(1.0 + alpha, march_end)[2:]
-    tails = [-d / norm for d in _tail_deltas(scheme, alpha, ms, s1)]
-    del ms, s1
+    # leaves' FFTs, which set the peak memory of a long solve.  The marched
+    # steps read S_m[1+alpha] from the running table, the leaves from Hurwitz.
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), march_end)]
     march_tails = [t[: march_end - 1].tolist() for t in tails]
     # Step 2 reads its tail terms as stencil weights; a third delta lands
     # on lambda_0.  Every later step shares one denominator.

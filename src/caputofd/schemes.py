@@ -44,6 +44,11 @@ precision: against mpmath (40 digits, alpha = 0.1, 0.2, ..., 0.9) the
 n = 50 closed forms are off by up to 2.1e-13 (W_n), 4.3e-10 (K_1) and
 6.2e-6 (K_2) relative, while the n = 51 series are within 2.4e-13.  A
 better K_2 crossover is an open item (ROADMAP.md, item 3).
+
+``_tail_coefficients`` is the one place that makes this split, and the
+one place that picks the source of ``S_n[1+alpha]``: the running
+compensated sum up to a step its caller names, the Hurwitz zeta function
+past it.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .specfun import AlphaConstants, alpha_constants, zeta
+from .specfun import AlphaConstants, alpha_constants
 
 #: Largest n for which the deficit closed forms are evaluated directly.
 _ASYM_N = 50
@@ -79,12 +84,6 @@ class SchemeId(Enum):
 
 _L1_FAMILY = (SchemeId.L1, SchemeId.L1Second)
 _MID_FAMILY = (SchemeId.MidLow, SchemeId.MidRaw, SchemeId.Mid2mAlpha, SchemeId.Mid2)
-_RIGHT_FAMILY = (
-    SchemeId.RightLow,
-    SchemeId.RightRaw,
-    SchemeId.Right2mAlpha,
-    SchemeId.Right3mAlpha,
-)
 
 
 def scheme_norm(scheme: SchemeId, alpha: float) -> float:
@@ -137,43 +136,26 @@ class WeightVector:
         self.weights.setflags(write=False)
 
 
-def harmonic_deficit(alpha: float, n: int) -> float:
-    """Harmonic deficit ``S_n[alpha]`` by compensated direct summation.
-
-    Args:
-        alpha: exponent, in ``(-1, 2)`` excluding 1 (the zeta pole).
-        n: grid size, ``n >= 2``.
-    """
-    if n < 2:
-        raise ValueError(f"harmonic_deficit needs n >= 2, got {n!r}")
-    if not -1.0 < alpha < 2.0 or alpha == 1.0:
-        raise ValueError(f"harmonic_deficit exponent outside (-1,2)\\{{1}}: {alpha!r}")
-    return math.fsum(float(k) ** -alpha for k in range(1, n)) - zeta(alpha)
-
-
-def _deficit_table(s: float, m_max: int) -> np.ndarray:
+def _deficit_table(s: float, m_max: int, zeta_s: float) -> np.ndarray:
     """Harmonic deficits ``S_m[s]`` at index ``m`` for every ``m <= m_max``.
 
     The running Neumaier sum of ``k^(-s)``, vectorized: ``cumsum`` adds in
     order, so ``total[m]`` is the plain running sum and ``err[m]`` the
     rounding error of its last addition, exactly as a scalar compensated
     accumulator carries them.  Indices 0 and 1 hold the empty sum.
+    ``zeta_s`` is ``zeta(s)``, read from :func:`alpha_constants` by the caller.
     """
     x = np.array([0.0, 0.0] + [float(k) ** -s for k in range(1, m_max)])
     total = np.cumsum(x)
     prev = np.concatenate(([0.0], total[:-1]))
     err = np.where(np.abs(prev) >= np.abs(x), (prev - total) + x, (x - total) + prev)
-    return total + np.cumsum(err) - zeta(s)
+    return total + np.cumsum(err) - zeta_s
 
 
-# --- deficit-derived tail coefficients -------------------------------------
-#
-# Each has a closed form in S_n values and an Euler-Maclaurin series; the
-# series is used beyond _ASYM_N where the closed form cancels catastrophically.
+# --- tail coefficients --------------------------------------------------------
 
 
-def _w_mid_series(alpha: float, n: float) -> float:
-    a = alpha
+def _w_mid_series(a: float, n: np.ndarray) -> np.ndarray:
     na = n ** -a
     return (
         -0.5 * na
@@ -183,12 +165,7 @@ def _w_mid_series(alpha: float, n: float) -> float:
     )
 
 
-def _w_mid_closed(alpha: float, n: float, s_a: float) -> float:
-    return s_a - n ** (1.0 - alpha) / (1.0 - alpha)
-
-
-def _k1_series(alpha: float, n: float) -> float:
-    a = alpha
+def _k1_series(a: float, n: np.ndarray) -> np.ndarray:
     base = n ** (-1.0 - a)
     return base * (
         -1.0 / 12.0
@@ -198,12 +175,7 @@ def _k1_series(alpha: float, n: float) -> float:
     )
 
 
-def _k1_closed(alpha: float, n: float, s_a: float, s_a1: float) -> float:
-    return n * s_a1 - s_a + n ** (1.0 - alpha) / (alpha * (1.0 - alpha))
-
-
-def _k2_series(alpha: float, n: float) -> float:
-    a = alpha
+def _k2_series(a: float, n: np.ndarray) -> np.ndarray:
     base = n ** (-2.0 - a)
     return base * (
         (1 + a) / 240.0
@@ -214,51 +186,53 @@ def _k2_series(alpha: float, n: float) -> float:
     )
 
 
-def _k2_closed(alpha: float, n: float, s_a: float, s_a1: float, s_am1: float) -> float:
-    return (
-        0.5 * n * n * s_a1
-        - n * s_a
-        + 0.5 * s_am1
-        + n ** (2.0 - alpha) / (alpha * (alpha - 1.0) * (alpha - 2.0))
-    )
+def _tail_coefficients(
+    alpha: float, ms: np.ndarray, names: tuple[str, ...], table_end: int = _ASYM_N
+) -> tuple[np.ndarray, ...]:
+    """The named tail coefficients at ascending ``ms >= 2``, and nothing else.
 
-
-def midpoint_tail_deficit(alpha: float, n: int) -> float:
-    """Midpoint tail coefficient ``W_n = S_n[alpha] - n^(1-alpha)/(1-alpha)``."""
-    if n > _ASYM_N:
-        return _w_mid_series(alpha, float(n))
-    return _w_mid_closed(alpha, float(n), harmonic_deficit(alpha, n))
-
-
-def k1_coefficient(alpha: float, n: int) -> float:
-    """First-derivative tail coefficient ``K_1`` of the right-sum family.
-
-    Evaluates ``n S_n[1+alpha] - S_n[alpha] + n^(1-alpha)/(alpha(1-alpha))``
-    directly for ``n <= 50`` and by its Euler-Maclaurin expansion beyond,
-    where the closed form would lose ~n ulps to cancellation.
+    ``names`` picks from ``"s1"`` (``S_m[1+alpha]``), ``"w"`` (``W_m``),
+    ``"k1"`` and ``"k2"``; the arrays come back in the order named.  This
+    is the one place that decides how a coefficient is computed:
+    ``S_m[1+alpha]`` is the running compensated table for ``m <= table_end``
+    and the Hurwitz ``-zeta(1+alpha, m)`` past it, while ``W``, ``K_1`` and
+    ``K_2`` take their closed forms in the table's ``S_m`` for
+    ``m <= _ASYM_N`` and their Euler-Maclaurin series past it.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
-    if n > _ASYM_N:
-        return _k1_series(alpha, float(n))
-    return _k1_closed(
-        alpha, float(n), harmonic_deficit(alpha, n), harmonic_deficit(alpha + 1.0, n)
-    )
+    c = alpha_constants(alpha)
+    mf = np.asarray(ms, dtype=float)
+    cut = int(np.searchsorted(mf, _ASYM_N, side="right"))
+    n, tail = mf[:cut], mf[cut:]
 
+    def deficit(s: float, zeta_s: float, count: int = cut) -> np.ndarray:
+        # S_m[s] from the running table at the first `count` m of ms
+        if not count:
+            return mf[:0]
+        return _deficit_table(s, int(mf[count - 1]), zeta_s)[mf[:count].astype(int)]
 
-def k2_coefficient(alpha: float, n: int) -> float:
-    """Second-derivative tail coefficient ``K_2`` of the right-sum family."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
-    if n > _ASYM_N:
-        return _k2_series(alpha, float(n))
-    return _k2_closed(
-        alpha,
-        float(n),
-        harmonic_deficit(alpha, n),
-        harmonic_deficit(alpha + 1.0, n),
-        harmonic_deficit(alpha - 1.0, n),
-    )
+    out: dict[str, np.ndarray] = {}
+    if {"s1", "k1", "k2"} & set(names):
+        known = int(np.searchsorted(mf, table_end, side="right"))
+        out["s1"] = s1 = np.concatenate(
+            (deficit(1.0 + alpha, c.zeta_ap1, known), -special.zeta(1.0 + alpha, mf[known:]))
+        )
+    if {"w", "k1", "k2"} & set(names):
+        s_a = deficit(alpha, c.zeta_a)
+    if "w" in names:
+        w = s_a - n ** (1.0 - alpha) / (1.0 - alpha)
+        out["w"] = np.concatenate((w, _w_mid_series(alpha, tail)))
+    if "k1" in names:
+        k1 = n * s1[:cut] - s_a + n ** (1.0 - alpha) / (alpha * (1.0 - alpha))
+        out["k1"] = np.concatenate((k1, _k1_series(alpha, tail)))
+    if "k2" in names:
+        k2 = (
+            0.5 * n * n * s1[:cut]
+            - n * s_a
+            + 0.5 * deficit(alpha - 1.0, c.zeta_am1)
+            + n ** (2.0 - alpha) / (alpha * (alpha - 1.0) * (alpha - 2.0))
+        )
+        out["k2"] = np.concatenate((k2, _k2_series(alpha, tail)))
+    return tuple(out[name] for name in names)
 
 
 # --- stencil construction ---------------------------------------------------
@@ -313,55 +287,37 @@ def _apply_head(scheme: SchemeId, w: np.ndarray, c: AlphaConstants) -> None:
 
 
 def _tail_deltas(
-    scheme: SchemeId, alpha: float, ms: np.ndarray, s1: np.ndarray | None = None
+    scheme: SchemeId, alpha: float, ms: np.ndarray, table_end: int = _ASYM_N
 ) -> tuple[np.ndarray, ...]:
     """Tail deltas ``(d_0, d_1, ...)`` of the m-step stencils for ascending ``ms >= 2``.
 
     ``d_j[i]`` is what the ``ms[i]``-step stencil adds to the interior
     weight at index ``ms[i] - j``: the true last weights minus the interior
-    formula, plus the ``W_n`` or ``K_1``/``K_2`` correction.  The closed
-    forms in ``S_m`` serve ``m <= _ASYM_N`` and the series serve the rest.
-    ``s1`` gives ``S_m[1+alpha]`` at each m of ``ms`` (right-sum family
-    only); by default it is the running compensated sum up to ``_ASYM_N``
-    and the Hurwitz ``-zeta(1+alpha, m)`` past it.
+    formula, plus the ``W_n`` or ``K_1``/``K_2`` correction.  The
+    coefficients come from :func:`_tail_coefficients`, which owns both
+    crossovers; ``table_end`` is the last m whose ``S_m[1+alpha]`` comes
+    from the running compensated table (right-sum family only).
     """
     mf = ms.astype(float)
-    cut = int(np.searchsorted(ms, _ASYM_N, side="right"))
-    head, tail = mf[:cut], mf[cut:]
-
-    def deficit(s: float) -> np.ndarray:
-        # S_m[s] at the closed-form m; empty when every m is past the crossover
-        return _deficit_table(s, int(ms[cut - 1]))[ms[:cut]] if cut else head
-
     if scheme in _L1_FAMILY:
         return (mf ** (1.0 - alpha) - (mf + 1.0) ** (1.0 - alpha),)
     if scheme in _MID_FAMILY:
         d0 = -((mf + 1.0) ** -alpha)
         d1 = -(mf**-alpha)
         if scheme in (SchemeId.Mid2mAlpha, SchemeId.Mid2):
-            wn = np.concatenate(
-                (_w_mid_closed(alpha, head, deficit(alpha)), _w_mid_series(alpha, tail))
-            )
+            (wn,) = _tail_coefficients(alpha, mf, ("w",))
             d0 += 2.0 * wn
             d1 -= 2.0 * wn
         return d0, d1
-    if s1 is None:
-        s1 = -special.zeta(1.0 + alpha, mf)
-        s1[:cut] = deficit(1.0 + alpha)
+    names = {SchemeId.Right2mAlpha: ("s1", "k1"), SchemeId.Right3mAlpha: ("s1", "k1", "k2")}
+    s1, *k = _tail_coefficients(alpha, mf, names.get(scheme, ("s1",)), table_end)
     d0 = -(s1 + mf ** (-1.0 - alpha))
-    if scheme in (SchemeId.RightLow, SchemeId.RightRaw):
-        return (d0,)
-    s_a = deficit(alpha)
-    k1 = np.concatenate((_k1_closed(alpha, head, s_a, s1[:cut]), _k1_series(alpha, tail)))
     if scheme is SchemeId.Right2mAlpha:
-        return d0 + k1, -k1
-    k2 = np.concatenate(
-        (
-            _k2_closed(alpha, head, s_a, s1[:cut], deficit(alpha - 1.0)),
-            _k2_series(alpha, tail),
-        )
-    )
-    return d0 + 1.5 * k1 - k2, -2.0 * k1 + 2.0 * k2, 0.5 * k1 - k2
+        return d0 + k[0], -k[0]
+    if scheme is SchemeId.Right3mAlpha:
+        k1, k2 = k
+        return d0 + 1.5 * k1 - k2, -2.0 * k1 + 2.0 * k2, 0.5 * k1 - k2
+    return (d0,)
 
 
 def build_weights(scheme: SchemeId, alpha: float, n: int) -> WeightVector:
@@ -490,7 +446,7 @@ def validate_weights(wv: WeightVector) -> PropertyReport:
         # sum k*w_k = -n^(1-alpha) * C / Gamma(2-alpha).
         c = alpha_constants(alpha)
         target = -float(n) ** (1.0 - alpha) * wv.norm / c.gamma_2ma
-        moment = math.fsum((float(k) * w[k] for k in range(1, n + 1)))
+        moment = math.fsum((np.arange(1, n + 1) * w[1:]).tolist())
         checks.append(
             PropertyCheck(
                 "linear_moment",
@@ -553,7 +509,6 @@ def validate_weights(wv: WeightVector) -> PropertyReport:
 
     if scheme is SchemeId.L1:
         # First moment has the exact closed value -n^(1-alpha).
-        moment = math.fsum((float(k) * w[k] for k in range(1, n + 1)))
         target = -float(n) ** (1.0 - alpha)
         checks.append(
             PropertyCheck(

@@ -27,12 +27,9 @@ from caputofd.caputo import (
 from caputofd.golden_data import ORDER_UNPINNED, golden_catalog
 from caputofd.schemes import (
     SchemeId,
+    _tail_coefficients,
     build_weights,
     expansion_coefficients,
-    harmonic_deficit,
-    k1_coefficient,
-    k2_coefficient,
-    midpoint_tail_deficit,
     validate_weights,
 )
 from caputofd.specfun import zeta
@@ -237,14 +234,15 @@ def test_criterion_10_weight_property_sweep():
                     violations.append(
                         (scheme.name, alpha, n, [c.name for c in report.failures()])
                     )
+    ns = np.array(PROPERTY_NS)
     for alpha in PROPERTY_ALPHAS:
-        for n in PROPERTY_NS:
-            deficit = midpoint_tail_deficit(alpha, n)
+        deficits, k1, k2 = _tail_coefficients(alpha, ns, ("w", "k1", "k2"))
+        for n, deficit, k1_n, k2_n in zip(PROPERTY_NS, deficits, k1, k2):
             if not -(float(n) ** -alpha) < deficit < 0.0:
                 violations.append(("tail-deficit", alpha, n, deficit))
-            if not k1_coefficient(alpha, n) < 0.0:
+            if not k1_n < 0.0:
                 violations.append(("k1-sign", alpha, n))
-            if not k2_coefficient(alpha, n) > 0.0:
+            if not k2_n > 0.0:
                 violations.append(("k2-sign", alpha, n))
     assert not violations, violations[:20]
     checks = len(PROPERTY_ALPHAS) * len(PROPERTY_NS) * (len(SchemeId) + 3)
@@ -311,12 +309,17 @@ def _closed_form_tail(alpha: float, n: int) -> tuple[float, float, float]:
     """Closed forms for the last three (3-alpha)-scheme weights.
 
     Written directly in terms of the harmonic deficits S[alpha + 1],
-    S[alpha] and S[alpha - 1] so the comparison is independent of the
-    additive head/tail pipeline in :func:`caputofd.schemes.build_weights`.
+    S[alpha] and S[alpha - 1], summed here with ``math.fsum``, so the
+    comparison is independent of the additive head/tail pipeline and the
+    deficit table in :mod:`caputofd.schemes`.
     """
-    s_up = harmonic_deficit(alpha + 1.0, n)
-    s_mid = harmonic_deficit(alpha, n)
-    s_down = harmonic_deficit(alpha - 1.0, n)
+
+    def deficit(s: float) -> float:
+        return math.fsum(float(k) ** -s for k in range(1, n)) - zeta(s)
+
+    s_up = deficit(alpha + 1.0)
+    s_mid = deficit(alpha)
+    s_down = deficit(alpha - 1.0)
     power = float(n) ** (1.0 - alpha)
     third_last = (n - 2.0) ** -(1.0 + alpha) - 0.5 * (
         n * (n - 1.0) * s_up

@@ -16,17 +16,13 @@ from caputofd import (
     SchemeId,
     build_weights,
     expansion_coefficients,
-    harmonic_deficit,
-    k1_coefficient,
-    k2_coefficient,
-    midpoint_tail_deficit,
     nominal_order,
     normalized_lambda,
     scheme_norm,
     validate_weights,
     zeta,
 )
-from caputofd.schemes import _deficit_table
+from caputofd.schemes import _deficit_table, _tail_coefficients
 
 ALPHAS = [0.25, 0.5, 0.75]
 
@@ -355,7 +351,7 @@ HARMONIC_CASES = [
 
 @pytest.mark.parametrize("s,n,expected", HARMONIC_CASES)
 def test_harmonic_deficit_values(s, n, expected):
-    assert harmonic_deficit(s, n) == pytest.approx(expected, rel=1e-12)
+    assert _deficit_table(s, n, zeta(s))[n] == pytest.approx(expected, rel=1e-12)
 
 
 @given(
@@ -363,40 +359,44 @@ def test_harmonic_deficit_values(s, n, expected):
     st.integers(min_value=2, max_value=400),
 )
 def test_harmonic_deficit_recurrence(s, n):
-    left = harmonic_deficit(s, n + 1)
-    right = harmonic_deficit(s, n) + float(n) ** -s
+    table = _deficit_table(s, n + 1, zeta(s))
+    left = table[n + 1]
+    right = table[n] + float(n) ** -s
     assert left == pytest.approx(right, rel=1e-10, abs=1e-12)
 
 
-# mpmath dps=40; n = 50 exercises the summed path, n = 51 the asymptotic one
+# mpmath dps=40; n = 50 exercises the summed path, n = 51 the asymptotic one.
+# The ids keep the names of the scalar functions these cases were written for.
+COEFFICIENTS = {"midpoint_tail_deficit": "w", "k1_coefficient": "k1", "k2_coefficient": "k2"}
 DEFICIT_CASES = [
-    (midpoint_tail_deficit, 0.5, 50, -0.07082852630301605),
-    (midpoint_tail_deficit, 0.5, 51, -0.07012840342045604),
-    (midpoint_tail_deficit, 0.5, 2560, -0.009882439371541608),
-    (midpoint_tail_deficit, 0.75, 64, -0.022140244439910133),
-    (k1_coefficient, 0.5, 50, -0.00023568458714319347),
-    (k1_coefficient, 0.5, 51, -0.00022878744532018182),
-    (k1_coefficient, 0.5, 100, -8.333177093097736e-05),
-    (k1_coefficient, 0.5, 2560, -6.433670185739946e-07),
-    (k1_coefficient, 0.25, 64, -0.0004603401743811969),
-    (k1_coefficient, 0.4, 64, -0.0002466885428801633),
-    (k2_coefficient, 0.5, 50, 3.5345523231934413e-07),
-    (k2_coefficient, 0.5, 51, 3.3638658400780674e-07),
-    (k2_coefficient, 0.5, 100, 6.249566028606808e-08),
-    (k2_coefficient, 0.5, 2560, 1.8848641664275212e-11),
-    (k2_coefficient, 0.4, 64, 2.69784009941429e-07),
+    ("midpoint_tail_deficit", 0.5, 50, -0.07082852630301605),
+    ("midpoint_tail_deficit", 0.5, 51, -0.07012840342045604),
+    ("midpoint_tail_deficit", 0.5, 2560, -0.009882439371541608),
+    ("midpoint_tail_deficit", 0.75, 64, -0.022140244439910133),
+    ("k1_coefficient", 0.5, 50, -0.00023568458714319347),
+    ("k1_coefficient", 0.5, 51, -0.00022878744532018182),
+    ("k1_coefficient", 0.5, 100, -8.333177093097736e-05),
+    ("k1_coefficient", 0.5, 2560, -6.433670185739946e-07),
+    ("k1_coefficient", 0.25, 64, -0.0004603401743811969),
+    ("k1_coefficient", 0.4, 64, -0.0002466885428801633),
+    ("k2_coefficient", 0.5, 50, 3.5345523231934413e-07),
+    ("k2_coefficient", 0.5, 51, 3.3638658400780674e-07),
+    ("k2_coefficient", 0.5, 100, 6.249566028606808e-08),
+    ("k2_coefficient", 0.5, 2560, 1.8848641664275212e-11),
+    ("k2_coefficient", 0.4, 64, 2.69784009941429e-07),
 ]
 
 
 # The n = 50 closed forms of K_1 and K_2 cancel; against the values above
 # they are off by 1.8e-11 and 9.3e-7 relative.  Every other case holds 1e-11.
-CLOSED_FORM_REL = {(k1_coefficient, 50): 5e-11, (k2_coefficient, 50): 2e-6}
+CLOSED_FORM_REL = {("k1_coefficient", 50): 5e-11, ("k2_coefficient", 50): 2e-6}
 
 
 @pytest.mark.parametrize("fn,a,n,expected", DEFICIT_CASES)
 def test_deficit_reference_values(fn, a, n, expected):
     rel = CLOSED_FORM_REL.get((fn, n), 1e-11)
-    assert fn(a, n) == pytest.approx(expected, rel=rel, abs=0.0)
+    (value,) = _tail_coefficients(a, np.array([n]), (COEFFICIENTS[fn],))
+    assert value[0] == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 def _sequential_deficits(s, m_max):
@@ -421,7 +421,7 @@ TABLE_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 @pytest.mark.parametrize("a", TABLE_ALPHAS)
 def test_deficit_table_is_the_running_neumaier_sum(a):
     for s in (a, 1.0 + a, a - 1.0):
-        table = _deficit_table(s, 4095)
+        table = _deficit_table(s, 4095, zeta(s))
         assert table.tobytes() == _sequential_deficits(s, 4095).tobytes()
 
 
@@ -429,7 +429,7 @@ def test_deficit_table_is_the_running_neumaier_sum(a):
 def test_deficit_table_against_mpmath(a):
     mpmath = pytest.importorskip("mpmath")
     for s in (a, 1.0 + a, a - 1.0):
-        table = _deficit_table(s, 4095)
+        table = _deficit_table(s, 4095, zeta(s))
         for m in (2, 50, 51, 4095):
             with mpmath.workdps(30):
                 # Hurwitz zeta: sum_{k<m} k^-s - zeta(s) = -zeta(s, m)
@@ -443,10 +443,10 @@ def test_deficit_table_against_mpmath(a):
 @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
 @pytest.mark.parametrize("n", [2, 5, 17, 50, 51, 200, 5000])
 def test_deficit_signs_and_bound(a, n):
-    w = midpoint_tail_deficit(a, n)
-    assert -(float(n) ** -a) < w < 0.0
-    assert k1_coefficient(a, n) < 0.0
-    assert k2_coefficient(a, n) > 0.0
+    w, k1, k2 = _tail_coefficients(a, np.array([n]), ("w", "k1", "k2"))
+    assert -(float(n) ** -a) < w[0] < 0.0
+    assert k1[0] < 0.0
+    assert k2[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
