@@ -62,6 +62,9 @@ __all__ = [
     "compare_golden",
     "convergence_ladder",
     "golden_catalog",
+    "grid_intervals",
+    "pointwise_error",
+    "pointwise_reference",
     "run_golden",
 ]
 
@@ -189,17 +192,28 @@ def _assemble(hs: Sequence[float], outcomes: Sequence[tuple]) -> list:
     return rows
 
 
+def grid_intervals(x_end: float, h: float) -> int:
+    """Number of steps of size ``h`` across ``[0, x_end]``.
+
+    Raises:
+        ValueError: unless both are positive and ``h`` divides the interval
+            evenly (to 1e-9 relative).
+    """
+    if not x_end > 0.0:
+        raise ValueError(f"x must be positive, got {x_end!r}")
+    if not h > 0.0:
+        raise ValueError(f"h must be positive, got {h!r}")
+    n = x_end / h
+    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        raise ValueError(f"h={h!r} does not divide the interval [0, {x_end!r}] evenly")
+    return round(n)
+
+
 def _ladder_grid(x_end: float, h0: float, levels: int) -> tuple:
     if levels < 2:
         raise ValueError(f"a ladder needs at least two levels, got {levels}")
-    if not h0 > 0.0:
-        raise ValueError(f"base spacing must be positive, got h0={h0!r}")
-    n0 = x_end / h0
-    if abs(n0 - round(n0)) > 1e-9 * max(1.0, n0):
-        raise ValueError(
-            f"h0={h0!r} does not divide the interval [0, {x_end!r}] evenly"
-        )
-    ns = [round(n0) * 2**j for j in range(levels)]
+    n0 = grid_intervals(x_end, h0)
+    ns = [n0 * 2**j for j in range(levels)]
     return ns, [x_end / n for n in ns]
 
 
@@ -251,27 +265,39 @@ def approximation_ladder(
     reference column (table 8).  Passing ``scheme`` ladders that weight
     stencil instead, with errors left in plain derivative units.
 
-    The reference value is the closed form when ``f`` carries one and the
-    quadrature oracle (tolerance 1e-12) otherwise; a quadrature failure
-    propagates, since without a reference no rung is measurable.
+    The reference value comes from :func:`pointwise_reference`; a
+    quadrature failure propagates, since without a reference no rung is
+    measurable.  The grid is checked before the reference is computed.
 
     Returns:
         list of ConvergenceRow, coarsest first.
     """
-    if f.exact_caputo is not None:
-        reference = f.exact_caputo(alpha, x)
-    else:
-        reference = caputo_quadrature(f.derivatives[0], alpha, x, tol=1e-12)
     ns, hs = _ladder_grid(x, h0, levels)
-    scale = abs(gamma(-alpha)) if scheme is None else 1.0
+    reference = pointwise_reference(f, alpha, x)
+    outcomes = _run_levels(lambda n: pointwise_error(f, alpha, x, n, scheme, reference)[1], ns)
+    return _assemble(hs, outcomes)
 
-    def error_at(n: int) -> float:
-        if scheme is None:
-            return scale * abs(fourth_order_eval(f, alpha, x, n) - reference)
-        wv = build_weights(scheme, alpha, n)
-        return abs(apply_stencil(wv, sample_path(f, x, n)) - reference)
 
-    return _assemble(hs, _run_levels(error_at, ns))
+def pointwise_reference(f: TestFunction, alpha: float, x: float) -> float:
+    """Exact ``f^(alpha)(x)``: the closed form if ``f`` has one, else quadrature at 1e-12."""
+    if f.exact_caputo is not None:
+        return f.exact_caputo(alpha, x)
+    return caputo_quadrature(f.derivatives[0], alpha, x, tol=1e-12)
+
+
+def pointwise_error(
+    f: TestFunction, alpha: float, x: float, n: int, scheme: Optional[SchemeId], reference: float
+) -> tuple:
+    """``(value, error)`` of one pointwise approximation with ``h = x/n``.
+
+    ``scheme=None`` runs the fourth-order endpoint formula, whose error is in
+    operator units (times ``|Gamma(-alpha)|``); a stencil's error is the plain gap.
+    """
+    if scheme is None:
+        value = fourth_order_eval(f, alpha, x, n)
+        return value, abs(gamma(-alpha)) * abs(value - reference)
+    value = apply_stencil(build_weights(scheme, alpha, n), sample_path(f, x, n))
+    return value, abs(value - reference)
 
 
 def _sig_digits(text: str) -> int:
@@ -295,7 +321,7 @@ def _match_rows(rows: Sequence[ConvergenceRow], golden: GoldenTable) -> list:
     return matched
 
 
-def _check_error(g: GoldenRow, row: ConvergenceRow, table: GoldenTable) -> CellCheck:
+def _check_error(g: GoldenRow, row: ConvergenceRow) -> CellCheck:
     expected = float(g.error_text)
     if row.failed:
         return CellCheck(g.h, "error", expected, math.inf, math.inf, False,
@@ -360,7 +386,7 @@ def compare_golden(
         ))
     else:
         for g, row in matched:
-            checks.append(_check_error(g, row, golden))
+            checks.append(_check_error(g, row))
             checks.append(_check_order(g, row, golden))
     return ComparisonReport(table_id=golden.table_id, checks=tuple(checks))
 

@@ -341,31 +341,33 @@ def _zeta_shift_derivative(t: float, m: int) -> float:
     return (-1.0) ** m * (direct + tail)
 
 
-def _geometric_caputo(alpha: float, first: complex, ratio: complex) -> float:
-    """Real part of ``sum_m first * ratio^m / ((m + 1 - alpha) Gamma(1 - alpha))``.
+def _geometric_caputo(alpha: float, x: float, denominator: complex, ratio: complex) -> float:
+    """Real part of ``sum_m x^(1-alpha) ratio^m / (denominator (m + 1 - alpha) Gamma(1 - alpha))``.
 
     The Caputo derivative of a function whose derivative expands in a
     geometric series inside the definition.  Complex arithmetic on real
-    inputs does the same float operations as real arithmetic would.
+    inputs does the same float operations as real arithmetic would.  The
+    order is validated before any term is formed.
     """
-    term, acc = complex(first), 0.0j
+    gamma_1ma = alpha_constants(alpha).gamma_1ma
+    term, acc = complex(x ** (1.0 - alpha) / denominator), 0.0j
     for m in range(400):
         acc += term / (m + 1.0 - alpha)
         term *= ratio
         if abs(term) < 1e-18 * max(abs(acc), 1e-300):
             break
-    return acc.real / alpha_constants(alpha).gamma_1ma
+    return acc.real / gamma_1ma
 
 
 def _caputo_arctan_series(alpha: float, x: float) -> float:
     # 1/(1+it) expanded geometrically; converges for all x > 0 with ratio
     # x/sqrt(1+x^2).
-    return _geometric_caputo(alpha, x ** (1.0 - alpha) / (1.0 + 1j * x), 1j * x / (1.0 + 1j * x))
+    return _geometric_caputo(alpha, x, 1.0 + 1j * x, 1j * x / (1.0 + 1j * x))
 
 
 def _caputo_log1p_series(alpha: float, x: float) -> float:
     # 1/(1+t) expanded geometrically, with ratio x/(1+x).
-    return _geometric_caputo(alpha, x ** (1.0 - alpha) / (1.0 + x), x / (1.0 + x))
+    return _geometric_caputo(alpha, x, 1.0 + x, x / (1.0 + x))
 
 
 _TWO_PI = 2.0 * math.pi

@@ -11,11 +11,14 @@ Subcommands
 ``check``     weight-property report for one stencil.
 
 Conventions shared by all subcommands: data goes to stdout, diagnostics to
-stderr, and identical invocations produce byte-identical output.  CSV cells
-print the full shortest round-trip decimal form (rounding is a plotter's
-job); JSON output replaces non-finite values with ``null``.  Scheme names
-are the lowercase identifiers (``l1``, ``mid2malpha``, ...) or the ``NS[k]``
-solver labels, which also imply their starting-value rule.
+stderr, and identical invocations produce byte-identical output.  Every
+table goes through one writer: CSV cells print the full shortest
+round-trip decimal form (rounding is a plotter's job), and every JSON
+table replaces non-finite values with ``null``.  Scheme names are the
+lowercase identifiers (``l1``, ``mid2malpha``, ...) or the ``NS[k]`` solver
+labels, which also imply their starting-value rule.  This module checks
+only names and flag combinations; numeric arguments (alpha, n, x, h,
+levels) are checked by the library, whose ``ValueError`` is a usage error.
 
 Exit codes: 0 success; 1 usage error; 2 numerical failure (divergence,
 quadrature failure, failed ladder rungs, failed property checks);
@@ -35,28 +38,22 @@ import numpy as np
 
 from .analysis import (
     approximation_ladder,
-    compare_golden,
     convergence_ladder,
     golden_catalog,
+    grid_intervals,
+    pointwise_error,
+    pointwise_reference,
     run_golden,
 )
-from .caputo import (
-    QuadratureError,
-    apply_stencil,
-    caputo_quadrature,
-    fourth_order_eval,
-    function_catalog,
-    sample_path,
-)
+from .caputo import QuadratureError, function_catalog
 from .relaxation import (
     NS_LABELS,
-    SingularDenominatorError,
     StartMode,
     equation_catalog,
     solve,
 )
 from .schemes import SchemeId, build_weights, expansion_coefficients, validate_weights
-from .specfun import NonConvergenceError, gamma
+from .specfun import NonConvergenceError
 
 __all__ = ["main", "run"]
 
@@ -80,22 +77,15 @@ def _scheme_aliases() -> dict:
     return aliases
 
 
+def _pick(kind: str, table: dict, key: str, name: str):
+    if key not in table:
+        valid = ", ".join(sorted(table))
+        raise _UsageError(f"unknown {kind} {name!r}; valid {kind}s: {valid}")
+    return table[key]
+
+
 def _parse_scheme(name: str):
-    aliases = _scheme_aliases()
-    try:
-        return aliases[name.lower()]
-    except KeyError:
-        valid = ", ".join(sorted(aliases))
-        raise _UsageError(f"unknown scheme {name!r}; valid schemes: {valid}") from None
-
-
-def _parse_function(name: str):
-    catalog = function_catalog()
-    try:
-        return catalog[name]
-    except KeyError:
-        valid = ", ".join(sorted(catalog))
-        raise _UsageError(f"unknown function {name!r}; valid functions: {valid}") from None
+    return _pick("scheme", _scheme_aliases(), name.lower(), name)
 
 
 def _resolve_problem(text: str, alpha: float):
@@ -121,45 +111,31 @@ def _require(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
-def _check_alpha(alpha: float) -> float:
-    _require(0.0 < alpha < 1.0, f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    return alpha
-
-
-def _intervals(x_end: float, h: float) -> int:
-    _require(h > 0.0, f"h must be positive, got {h!r}")
-    n = x_end / h
-    _require(
-        abs(n - round(n)) <= 1e-9 * max(1.0, n),
-        f"h={h!r} does not divide the interval [0, {x_end!r}] evenly",
-    )
-    return round(n)
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(value).lower()
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-def _emit_csv(header: Sequence[str], rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-
-
-def _json_number(value):
-    if value is None:
-        return None
+def _json_cell(value):
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
     value = float(value)
     return value if math.isfinite(value) else None
+
+
+def _record(header: Sequence[str], row) -> dict:
+    return {k: _json_cell(v) for k, v in zip(header, row)}
 
 
 def _emit_json(payload) -> None:
@@ -167,19 +143,20 @@ def _emit_json(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_ladder(rows, fmt: str) -> None:
+def _emit(fmt: str, header: Sequence[str], rows, key: str, **head) -> None:
+    """Write one table: a CSV header plus rows, or JSON ``{**head, key: [records]}``."""
     if fmt == "json":
-        _emit_json({
-            "rows": [
-                {"h": r.h, "error": _json_number(r.error), "order": _json_number(r.order)}
-                for r in rows
-            ]
-        })
+        _emit_json({**head, key: [_record(header, row) for row in rows]})
     else:
-        _emit_csv(["h", "error", "order"], [(r.h, r.error, r.order) for r in rows])
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
 
 
-def _failed_rung_exit(rows) -> int:
+def _emit_ladder(rows, fmt: str) -> int:
+    """Write a ladder table; exit 2, with each cause on stderr, if a rung failed."""
+    _emit(fmt, ["h", "error", "order"], [(r.h, r.error, r.order) for r in rows], "rows")
     failed = [r for r in rows if r.failed]
     for r in failed:
         print(f"warning: ladder rung failed at h = {r.h!r}: {r.cause}", file=sys.stderr)
@@ -192,8 +169,6 @@ def _failed_rung_exit(rows) -> int:
 
 def _cmd_weights(ns) -> int:
     scheme, _ = _parse_scheme(ns.scheme)
-    _check_alpha(ns.alpha)
-    _require(ns.n >= 2, f"n must be at least 2, got {ns.n}")
     wv = build_weights(scheme, ns.alpha, ns.n)
     if ns.format == "json":
         _emit_json({
@@ -220,28 +195,16 @@ def _parse_grid(text: str):
     _require(step > 0.0, f"grid step must be positive, got {step!r}")
     _require(lo <= hi, f"grid start {lo!r} exceeds end {hi!r}")
     count = int(round((hi - lo) / step)) + 1
-    alphas = [
+    return [
         round(lo + i * step, 12)
         for i in range(count)
         if lo + i * step <= hi + 1e-12 * max(1.0, hi)
     ]
-    for a in alphas:
-        _check_alpha(a)
-    return alphas
 
 
 def _cmd_coeffs(ns) -> int:
-    alphas = _parse_grid(ns.alpha_grid)
-    triples = [(a, *expansion_coefficients(a)) for a in alphas]
-    if ns.format == "json":
-        _emit_json({
-            "rows": [
-                {"alpha": a, "C1": c1, "C9": c9, "C12": c12}
-                for a, c1, c9, c12 in triples
-            ]
-        })
-    else:
-        _emit_csv(["alpha", "C1", "C9", "C12"], triples)
+    rows = [(a, *expansion_coefficients(a)) for a in _parse_grid(ns.alpha_grid)]
+    _emit(ns.format, ["alpha", "C1", "C9", "C12"], rows, "rows")
     return 0
 
 
@@ -250,69 +213,45 @@ def _cmd_caputo(ns) -> int:
         bool(ns.fourth_order) != (ns.scheme is not None),
         "exactly one of --scheme or --fourth-order is required",
     )
-    f = _parse_function(ns.function)
-    _check_alpha(ns.alpha)
-    _require(ns.x > 0.0, f"x must be positive, got {ns.x!r}")
+    f = _pick("function", function_catalog(), ns.function, ns.function)
     scheme = None if ns.fourth_order else _parse_scheme(ns.scheme)[0]
 
     if ns.levels is not None:
-        _require(ns.levels >= 2, f"a ladder needs at least two levels, got {ns.levels}")
         rows = approximation_ladder(f, ns.alpha, ns.x, ns.h, ns.levels, scheme=scheme)
-        _emit_ladder(rows, ns.format)
-        return _failed_rung_exit(rows)
+        return _emit_ladder(rows, ns.format)
 
-    n = _intervals(ns.x, ns.h)
-    if f.exact_caputo is not None:
-        reference = f.exact_caputo(ns.alpha, ns.x)
-    else:
-        reference = caputo_quadrature(f.derivatives[0], ns.alpha, ns.x, tol=1e-12)
-    if scheme is None:
-        value = fourth_order_eval(f, ns.alpha, ns.x, n)
-        error = abs(gamma(-ns.alpha)) * abs(value - reference)
-    else:
-        value = apply_stencil(build_weights(scheme, ns.alpha, n), sample_path(f, ns.x, n))
-        error = abs(value - reference)
+    n = grid_intervals(ns.x, ns.h)
+    reference = pointwise_reference(f, ns.alpha, ns.x)
+    value, error = pointwise_error(f, ns.alpha, ns.x, n, scheme, reference)
+    header, row = ["value", "reference", "error"], (value, reference, error)
     if ns.format == "json":
-        _emit_json({"value": value, "reference": reference, "error": error})
+        _emit_json(_record(header, row))
     else:
-        _emit_csv(["value", "reference", "error"], [(value, reference, error)])
+        _emit(ns.format, header, [row], "rows")
     return 0
 
 
-def _start_mode(ns, alias_mode) -> Optional[StartMode]:
-    if ns.start is not None:
-        return _START_MODES[ns.start]
-    return alias_mode
+def _solver_inputs(ns) -> tuple:
+    """``(problem, scheme, start)`` named by the solve and table flags."""
+    scheme, alias_mode = _parse_scheme(ns.scheme)
+    problem = _resolve_problem(ns.equation, ns.alpha)
+    start = _START_MODES[ns.start] if ns.start is not None else alias_mode
+    return problem, scheme, start
 
 
 def _cmd_solve(ns) -> int:
-    _check_alpha(ns.alpha)
-    scheme, alias_mode = _parse_scheme(ns.scheme)
-    problem = _resolve_problem(ns.equation, ns.alpha)
-    n = _intervals(problem.x_end, ns.h)
-    _require(n >= 2, f"h={ns.h!r} leaves fewer than two steps on [0, {problem.x_end!r}]")
-    result = solve(problem, scheme, n, _start_mode(ns, alias_mode))
+    problem, scheme, start = _solver_inputs(ns)
+    n = grid_intervals(problem.x_end, ns.h)
+    result = solve(problem, scheme, n, start)
     xs = np.arange(n + 1) * result.h
     exact = problem.exact(xs)
     errors = np.abs(result.u - exact)
-    if ns.format == "json":
-        _emit_json({
-            "rows": [
-                {
-                    "m": int(m),
-                    "x": float(xs[m]),
-                    "u": _json_number(result.u[m]),
-                    "exact": float(exact[m]),
-                    "error": _json_number(errors[m]),
-                }
-                for m in range(n + 1)
-            ]
-        })
-    else:
-        _emit_csv(
-            ["m", "x", "u", "exact", "error"],
-            ((m, xs[m], result.u[m], exact[m], errors[m]) for m in range(n + 1)),
-        )
+    _emit(
+        ns.format,
+        ["m", "x", "u", "exact", "error"],
+        [(m, xs[m], result.u[m], exact[m], errors[m]) for m in range(n + 1)],
+        "rows",
+    )
     if result.diverged:
         print("warning: solution magnitude crossed the divergence threshold", file=sys.stderr)
         return 2
@@ -320,13 +259,9 @@ def _cmd_solve(ns) -> int:
 
 
 def _cmd_table(ns) -> int:
-    _check_alpha(ns.alpha)
-    scheme, alias_mode = _parse_scheme(ns.scheme)
-    problem = _resolve_problem(ns.equation, ns.alpha)
-    _require(ns.levels >= 2, f"a ladder needs at least two levels, got {ns.levels}")
-    rows = convergence_ladder(problem, scheme, _start_mode(ns, alias_mode), ns.h0, ns.levels)
-    _emit_ladder(rows, ns.format)
-    return _failed_rung_exit(rows)
+    problem, scheme, start = _solver_inputs(ns)
+    rows = convergence_ladder(problem, scheme, start, ns.h0, ns.levels)
+    return _emit_ladder(rows, ns.format)
 
 
 def _cmd_golden(ns) -> int:
@@ -337,32 +272,19 @@ def _cmd_golden(ns) -> int:
         bool(columns),
         f"no reference table {ns.table}; valid tables: 1..10",
     )
-    all_checks = []
-    reports = []
-    for table in columns:
-        _, report = run_golden(table)
-        reports.append(report)
-        for c in report.checks:
-            all_checks.append((
-                report.table_id, c.h, c.kind, c.expected, c.computed,
-                c.allowance_used, "pass" if c.passed else "fail",
-            ))
-    if ns.format == "json":
-        _emit_json({
-            "checks": [
-                {
-                    "column": col, "h": h, "kind": kind,
-                    "expected": _json_number(exp), "computed": _json_number(got),
-                    "allowance_used": _json_number(used), "status": status,
-                }
-                for col, h, kind, exp, got, used, status in all_checks
-            ]
-        })
-    else:
-        _emit_csv(
-            ["column", "h", "kind", "expected", "computed", "allowance_used", "status"],
-            all_checks,
-        )
+    reports = [run_golden(table)[1] for table in columns]
+    rows = [
+        (report.table_id, c.h, c.kind, c.expected, c.computed,
+         c.allowance_used, "pass" if c.passed else "fail")
+        for report in reports
+        for c in report.checks
+    ]
+    _emit(
+        ns.format,
+        ["column", "h", "kind", "expected", "computed", "allowance_used", "status"],
+        rows,
+        "checks",
+    )
     for report in reports:
         print(report.summary(), file=sys.stderr)
         if not report.all_passed:
@@ -373,32 +295,16 @@ def _cmd_golden(ns) -> int:
 
 def _cmd_check(ns) -> int:
     scheme, _ = _parse_scheme(ns.scheme)
-    _check_alpha(ns.alpha)
-    _require(ns.n >= 2, f"n must be at least 2, got {ns.n}")
     report = validate_weights(build_weights(scheme, ns.alpha, ns.n))
-    if ns.format == "json":
-        _emit_json({
-            "scheme": scheme.name.lower(),
-            "alpha": ns.alpha,
-            "n": ns.n,
-            "checks": [
-                {
-                    "name": c.name, "applicable": bool(c.applicable),
-                    "passed": None if c.passed is None else bool(c.passed),
-                    "detail": c.detail,
-                }
-                for c in report.checks
-            ],
-        })
-    else:
-        _emit_csv(
-            ["name", "applicable", "passed", "detail"],
-            (
-                (c.name, str(c.applicable).lower(),
-                 "" if c.passed is None else str(c.passed).lower(), c.detail)
-                for c in report.checks
-            ),
-        )
+    _emit(
+        ns.format,
+        ["name", "applicable", "passed", "detail"],
+        [(c.name, c.applicable, c.passed, c.detail) for c in report.checks],
+        "checks",
+        scheme=scheme.name.lower(),
+        alpha=ns.alpha,
+        n=ns.n,
+    )
     return 0 if report.all_passed else 2
 
 
@@ -494,14 +400,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        QuadratureError,
-        SingularDenominatorError,
-        NonConvergenceError,
-        OverflowError,
-        ZeroDivisionError,
-        FloatingPointError,
-    ) as exc:
+    except (ArithmeticError, QuadratureError, NonConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -307,6 +307,24 @@ class TestApproximationLadder:
         with pytest.raises(ValueError, match="divide"):
             approximation_ladder(f, 0.5, 1.0, 0.3, 2)
 
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_nonpositive_interval_is_a_value_error(self, x):
+        with pytest.raises(ValueError, match="x must be positive"):
+            approximation_ladder(function_catalog()["exp"], 0.5, x, 0.25, 3)
+
+    @pytest.mark.parametrize(
+        "x, h0, levels", [(1.0, 0.125, 1), (1.0, 0.3, 2), (0.0, 0.125, 2)]
+    )
+    def test_grid_is_checked_before_the_reference(self, monkeypatch, x, h0, levels):
+        import caputofd.analysis as analysis_mod
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("reference computed before the grid was checked")
+
+        monkeypatch.setattr(analysis_mod, "caputo_quadrature", no_quadrature)
+        with pytest.raises(ValueError):
+            approximation_ladder(function_catalog()["zeta_shift2"], 0.5, x, h0, levels)
+
 
 def _single_row_table(error_text, order_text, flags=(), **table_kwargs):
     return GoldenTable(

@@ -5,9 +5,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from caputofd.cli import run
+from caputofd.cli import _cell, run
 from caputofd.analysis import CellCheck, ComparisonReport
 from caputofd.caputo import function_catalog
 from caputofd.golden_data import golden_catalog
@@ -442,3 +443,67 @@ class TestHarness:
             )
             assert code == 0
             assert float(_csv_rows(out)[1][2]) < 1e-4
+
+
+_SINGULAR_D = repr(-1.0 / (gamma(1.5) * 0.5**0.5))
+
+# One invocation per table-writing subcommand, without --format.
+TABLE_ARGV = {
+    "coeffs": ("coeffs", "--alpha-grid", "0.3:0.7:0.2"),
+    "caputo-ladder": ("caputo", "--scheme", "l1", "--function", "exp", "--alpha", "0.5",
+                      "--x", "1", "--h", "0.25", "--levels", "3"),
+    "solve": ("solve", "--equation", "eq3", "--alpha", "0.6", "--scheme", "mid2malpha",
+              "--h", "0.1"),
+    "table": ("table", "--equation", f"relax:{_SINGULAR_D}", "--alpha", "0.5",
+              "--scheme", "l1", "--h0", "0.5", "--levels", "2"),
+    "golden": ("golden", "--table", "6"),
+    "check": ("check", "--scheme", "right2malpha", "--alpha", "0.5", "--n", "8"),
+}
+
+# Every JSON shape the tool writes, the non-finite paths included.
+JSON_ARGV = {
+    **TABLE_ARGV,
+    "weights": ("weights", "--scheme", "right3malpha", "--alpha", "0.3", "--n", "12"),
+    "caputo-value": ("caputo", "--fourth-order", "--function", "log1p", "--alpha", "0.4",
+                     "--x", "2", "--h", "0.0125"),
+    "solve-divergent": ("solve", "--equation", "relax:-7", "--alpha", "0.5",
+                        "--scheme", "NS[1]", "--h", "0.025"),
+}
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("name", sorted(JSON_ARGV))
+    def test_json_is_strict(self, capsys, name):
+        _, out, _ = _run(capsys, *JSON_ARGV[name], "--format", "json")
+        assert _strict_json(out)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_ARGV))
+    def test_csv_and_json_agree(self, capsys, name):
+        code_csv, out_csv, _ = _run(capsys, *TABLE_ARGV[name])
+        code_json, out_json, _ = _run(capsys, *TABLE_ARGV[name], "--format", "json")
+        assert code_csv == code_json
+        header, *rows = _csv_rows(out_csv)
+        payload = _strict_json(out_json)
+        records = payload["checks" if name in ("golden", "check") else "rows"]
+        assert len(records) == len(rows) > 0
+        for record, row in zip(records, rows):
+            assert list(record) == header
+            for value, cell in zip(record.values(), row):
+                if value is None:
+                    assert cell == "" or not math.isfinite(float(cell))
+                elif isinstance(value, bool):
+                    assert cell == str(value).lower()
+                elif isinstance(value, (int, float)):
+                    assert cell == repr(value)
+                else:
+                    assert cell == value
+
+    def test_csv_prints_numpy_bools_as_words(self):
+        assert [_cell(np.bool_(True)), _cell(np.bool_(False))] == ["true", "false"]
