@@ -197,15 +197,15 @@ def grid_intervals(x_end: float, h: float) -> int:
 
     Raises:
         ValueError: unless both are positive and ``h`` divides the interval
-            evenly (to 1e-9 relative).
+            evenly (to 1e-9 relative) into at least one step.
     """
     if not x_end > 0.0:
         raise ValueError(f"x must be positive, got {x_end!r}")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
     n = x_end / h
-    if abs(n - round(n)) > 1e-9 * max(1.0, n):
-        raise ValueError(f"h={h!r} does not divide the interval [0, {x_end!r}] evenly")
+    if round(n) == 0 or abs(n - round(n)) > 1e-9 * max(1.0, n):
+        raise ValueError(f"h={h!r} does not divide [0, {x_end!r}] into one or more even steps")
     return round(n)
 
 

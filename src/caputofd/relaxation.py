@@ -24,20 +24,20 @@ only names its last marched step, up to which the harmonic deficit
 ``S_m[1+alpha]`` comes from the running compensated table (the Hurwitz
 zeta function serves the leaves).
 
-The history sum is split by lag.  Lags below ``_NEAR_FIELD`` are summed
-directly; older history reaches each step through the blocked online
-convolution of Hairer, Lubich & Schlichte ("Fast numerical solution of
-nonlinear Volterra convolution equations", SIAM J. Sci. Stat. Comput. 6,
-1985), which adds a finished block's far-field contribution to every later
-step of its sibling block with one FFT product.  The first steps are
-marched one at a time with a direct dot product each.  From the first
-multiple of ``_LEAF`` at or past both ``_NEAR_FIELD`` and the series
-crossover on, the steps are solved ``_LEAF`` at a time: one product with a
-precomputed Toeplitz slab of the weights adds the near lags from before the
-leaf, and a forward substitution on the constant lower-triangular Toeplitz
-matrix of the leaf carries the lags inside it.  The recurrence stays
-causal, so every damping, divergent runs included, is served in
-O(n * _NEAR_FIELD + n log^2 n).
+Steps below ``_NEAR_FIELD`` are marched one at a time, each summing its
+whole history with one dot product.  Later steps sum only the lags below
+``min(_NEAR_FIELD, _LEAF_NEAR)`` directly; older history reaches them
+through the blocked online convolution of Hairer, Lubich & Schlichte ("Fast
+numerical solution of nonlinear Volterra convolution equations", SIAM J.
+Sci. Stat. Comput. 6, 1985), which adds a finished block's far-field
+contribution to every later step of its sibling block with one FFT
+product.  From the first multiple of ``_LEAF`` at or past both
+``_NEAR_FIELD`` and the series crossover on, the steps are solved ``_LEAF``
+at a time: one product with a precomputed Toeplitz slab of the weights
+adds the near lags from before the leaf, and a forward substitution on the
+constant lower-triangular Toeplitz matrix of the leaf carries the lags
+inside it.  The recurrence stays causal, so every damping, divergent runs
+included, is served in O(_NEAR_FIELD^2 + n * _LEAF_NEAR + n log^2 n).
 """
 
 from __future__ import annotations
@@ -79,10 +79,16 @@ __all__ = [
 #: completes so the blow-up profile can be inspected).
 _DIVERGENCE_LIMIT = 1e30
 
-#: Lags below this width are summed directly; older lags reach a step
-#: through the FFT far field.  A solve with fewer steps has no far lag, and
-#: one with fewer steps than the first leaf is the plain march, bit for bit.
+#: Steps below this one sum every lag directly, so a solve with fewer steps
+#: than the first leaf is the plain march, bit for bit.  Later steps sum lags
+#: below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly, older ones by FFT.
 _NEAR_FIELD = 4096
+
+#: Only the march's bit-identity needs the whole ``_NEAR_FIELD`` summed
+#: directly.  A leaf step pays O(width) for its direct lags and about
+#: O(log^2 n) for the far ones; 512 made ``solve`` at n = 40960 fastest
+#: (1024, 256, 128 and 64 were slower).
+_LEAF_NEAR = 512
 
 #: Steps from the first multiple of this size at or past both
 #: ``_NEAR_FIELD`` and ``_ASYM_N`` on are solved this many at a time.
@@ -298,24 +304,23 @@ def solve(
 ) -> SolveResult:
     """March the relaxation equation across ``n`` uniform steps.
 
-    Each step's history sum ``sum_{k=1..m} lambda_k * u_{m-k}`` is split at
-    lag ``_NEAR_FIELD`` (4096).  The far lags come from a dyadic
-    divide-and-conquer over the grid: once the left half ``[lo, mid)`` of a
-    node is solved, one ``rfft``/``irfft`` product adds its far-lag
-    contribution to every step of ``[mid, hi)``.  The tail deltas of every
-    step count are computed once, up front; step m adds ``t_j[m] * u_j``
-    for each delta, and at step 2 a third delta lands on ``lambda_0``.
-    Steps below the first leaf (step 4096) are marched one at a time, the
-    near lags a direct dot product per step.  From there on the steps go in
-    leaves of ``_LEAF`` (64): the forcing and the tail terms of all of them
-    are folded into one right-hand side, each leaf adds the near lags from
-    before it with one product against a ``64 x 4095`` Toeplitz slab of the
-    weights, and solves for its own values by forward substitution on the
-    leaf's lower-triangular Toeplitz matrix.  The march stays causal for any ``D``, at
-    O(n * _NEAR_FIELD) direct plus O(n log^2 n) FFT work.  A solve with
-    fewer steps than the first leaf is the plain march bit for bit; past it
-    the sums differ from the plain march's only by rounding.  The forcing
-    is evaluated once, on the whole grid, before the march.
+    Steps below the first leaf (step 4096) are marched one at a time, each
+    summing its history ``sum_{k=1..m} lambda_k * u_{m-k}`` in one dot
+    product.  Later steps go in leaves of ``_LEAF`` (64) and split it at lag
+    ``_LEAF_NEAR`` (512).  The far lags come from a dyadic divide-and-conquer
+    over the grid, minus its nodes wholly below the first leaf: once the left
+    half ``[lo, mid)`` of a node is solved, one ``rfft``/``irfft`` product
+    adds its far-lag contribution to every step of ``[mid, hi)``.  The tail
+    deltas of every step count are computed once, up front; step m adds
+    ``t_j[m] * u_j`` for each delta, and at step 2 a third delta lands on
+    ``lambda_0``.  The forcing and tail terms of all leaf steps are folded
+    into one right-hand side; each leaf adds the near lags from before it
+    with one product against a ``64 x 511`` Toeplitz slab of the weights, and
+    solves for its own values by forward substitution on the leaf's
+    lower-triangular Toeplitz matrix.  The march stays causal for any ``D``,
+    at O(4096^2 + n * 512) direct plus O(n log^2 n) FFT work.  Past the first
+    leaf the sums differ from the plain march's only by rounding.  The
+    forcing is evaluated once, on the whole grid, before the march.
 
     Args:
         problem: The initial-value problem.
@@ -347,11 +352,10 @@ def solve(
     # far[m] collects sum_{k >= width} gen_lam[k] * u[m-k], block by block,
     # through far_kernel: gen_lam with its first `width` lags zeroed.  A
     # leaf no longer than `width` keeps every lag inside it in the near field.
-    width = _NEAR_FIELD
+    width = min(_NEAR_FIELD, _LEAF_NEAR)
     leaf = min(_LEAF, width)
-    first_leaf = -(-max(width, _ASYM_N + 1) // leaf) * leaf
+    first_leaf = -(-max(_NEAR_FIELD, _ASYM_N + 1) // leaf) * leaf
     march_end = min(n, first_leaf - 1)
-    splits = _far_field_splits(n, width, leaf)
     far = np.zeros(n + 1)
     far_kernel = np.zeros(n + 1)
 
@@ -363,6 +367,10 @@ def solve(
     u[0] = problem.y0
     u[1] = first_step(problem, h, mode)
     forcing = _forcing_on_grid(problem.forcing, h, n)
+    # Only steps from _NEAR_FIELD on read far[]; nodes wholly below it are
+    # dropped.  Built after the forcing, like the tails, for peak memory.
+    splits = _far_field_splits(n, width, leaf)
+    splits = {mid: node for mid, node in splits.items() if node[1] > _NEAR_FIELD}
     march_forcing = forcing[: first_leaf - 2].tolist()
     # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.
     # They are built after the forcing and freed once the leaves have them,
@@ -390,7 +398,7 @@ def solve(
             split = splits.get(m)
             if split is not None:
                 _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
-            if m < width:
+            if m < _NEAR_FIELD:
                 history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
             else:
                 near = float(np.dot(gen_lam[1:width], u[m - 1 : m - width : -1]))

@@ -19,6 +19,7 @@ from caputofd.analysis import (
     compare_golden,
     convergence_ladder,
     golden_catalog,
+    grid_intervals,
     run_golden,
 )
 from caputofd.caputo import apply_stencil, exact_caputo_power, function_catalog, sample_path
@@ -311,6 +312,12 @@ class TestApproximationLadder:
     def test_nonpositive_interval_is_a_value_error(self, x):
         with pytest.raises(ValueError, match="x must be positive"):
             approximation_ladder(function_catalog()["exp"], 0.5, x, 0.25, 3)
+
+    @pytest.mark.parametrize("h", [1e10, 1e300, math.inf])
+    def test_step_wider_than_the_interval_is_a_value_error(self, h):
+        # x / h rounds to zero steps, which every rung would divide by.
+        with pytest.raises(ValueError, match="divide"):
+            grid_intervals(1.0, h)
 
     @pytest.mark.parametrize(
         "x, h0, levels", [(1.0, 0.125, 1), (1.0, 0.3, 2), (0.0, 0.125, 2)]

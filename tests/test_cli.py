@@ -163,6 +163,14 @@ class TestCaputo:
         assert code == 1
         assert "divide" in err
 
+    def test_h_wider_than_x_is_a_usage_error(self, capsys):
+        code, _, err = _run(
+            capsys, "caputo", "--function", "exp", "--alpha", "0.5", "--x", "1",
+            "--scheme", "l1", "--h", "1e10", "--levels", "2",
+        )
+        assert code == 1
+        assert "divide" in err
+
 
 class TestSolve:
     def test_grid_output(self, capsys):
@@ -262,6 +270,14 @@ class TestTable:
         )
         assert code == 1
         assert "two levels" in err
+
+    def test_infinite_h0_is_a_usage_error(self, capsys):
+        code, _, err = _run(
+            capsys, "table", "--equation", "eq1", "--alpha", "0.5",
+            "--scheme", "l1", "--h0", "inf", "--levels", "2",
+        )
+        assert code == 1
+        assert "divide" in err
 
     def test_failed_rung_exits_two(self, capsys):
         singular_d = -1.0 / (gamma(1.5) * 0.5**0.5)

@@ -54,7 +54,8 @@ HIGH_ORDER = [
 #: Near-field widths the far-field tests run under: the solver's default,
 #: which leaves these short solves on the plain march, and 16, which sends
 #: every lag from 16 on through the FFT far field and every step from 64 on
-#: through 16-step leaves.
+#: through 16-step leaves.  A near field below 512 is also the leaves'
+#: direct width; the default one's leaves sum only lags below 512 directly.
 DEFAULT_NEAR_FIELD = relaxation._NEAR_FIELD
 NEAR_FIELDS = [DEFAULT_NEAR_FIELD, 16]
 
@@ -405,21 +406,27 @@ class TestSolve:
     )
     def test_leaf_path_matches_plain_march(self, scheme, monkeypatch):
         # A near field wider than the grid turns leaves and far field off.
-        n = FIRST_LEAF + 2 * 64  # two full leaves and one step of a third
+        # At the second n some far-field nodes lie wholly past the march,
+        # so leaves reach later leaves through the FFT.
+        layouts = {
+            FIRST_LEAF + 2 * 64: [64, 64, 1],  # two full leaves and one step of a third
+            FIRST_LEAF + 32 * 64 + 1: [64] * 32 + [2],
+        }
         rows = _leaf_rows(monkeypatch)
-        for alpha in (0.3, 0.7):
-            for problem in equation_catalog(alpha, D=-1.0)[1:]:
-                monkeypatch.setattr(relaxation, "_NEAR_FIELD", DEFAULT_NEAR_FIELD)
-                leaves = solve(problem, scheme, n).u
-                assert rows == [64, 64, 1]
-                monkeypatch.setattr(relaxation, "_NEAR_FIELD", n + 1)
-                march = solve(problem, scheme, n).u
-                assert rows == [64, 64, 1]
-                rows.clear()
-                gap = np.abs(leaves - march)
-                assert np.all(gap <= 5e-13 * np.maximum(1.0, np.abs(march))), (
-                    alpha, problem.label, float(np.max(gap)),
-                )
+        for n, layout in layouts.items():
+            for alpha in (0.3, 0.7):
+                for problem in equation_catalog(alpha, D=-1.0)[1:]:
+                    monkeypatch.setattr(relaxation, "_NEAR_FIELD", DEFAULT_NEAR_FIELD)
+                    leaves = solve(problem, scheme, n).u
+                    assert rows == layout
+                    monkeypatch.setattr(relaxation, "_NEAR_FIELD", n + 1)
+                    march = solve(problem, scheme, n).u
+                    assert rows == layout
+                    rows.clear()
+                    gap = np.abs(leaves - march)
+                    assert np.all(gap <= 5e-13 * np.maximum(1.0, np.abs(march))), (
+                        n, alpha, problem.label, float(np.max(gap)),
+                    )
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
     def test_leaf_edges_match_stepwise_rebuild(self, scheme, monkeypatch):
@@ -447,6 +454,27 @@ class TestSolve:
         m, j = np.indices(cover.shape)
         assert np.all(cover[m - j >= width] == 1)
         assert np.all(cover[m < j] == 0)
+
+    def test_no_far_field_below_the_first_leaf(self, monkeypatch):
+        # The march sums every lag directly, so a far-field node wholly
+        # below the first leaf would be an FFT nobody reads.
+        nodes = []
+        add_far_field = relaxation._add_far_field
+
+        def spy(far, u, kernel, lo, mid, hi, width):
+            nodes.append((lo, hi))
+            add_far_field(far, u, kernel, lo, mid, hi, width)
+
+        monkeypatch.setattr(relaxation, "_add_far_field", spy)
+        problem = equation_catalog(0.5)[1]
+        solve(problem, SchemeId.L1, FIRST_LEAF - 1)
+        assert nodes == []
+        solve(problem, SchemeId.L1, FIRST_LEAF + 64)
+        assert nodes and all(hi > FIRST_LEAF for _, hi in nodes)
+        nodes.clear()
+        # Lags from 512 on go through the far field, so leaves feed leaves.
+        solve(problem, SchemeId.L1, FIRST_LEAF + 32 * 64 + 1)
+        assert any(lo >= FIRST_LEAF for lo, _ in nodes)
 
     def test_far_field_leaves_no_reference_cycles(self):
         # A cycle would keep every array of the solve alive until the
