@@ -197,13 +197,15 @@ def grid_intervals(x_end: float, h: float) -> int:
 
     Raises:
         ValueError: unless both are positive and ``h`` divides the interval
-            evenly (to 1e-9 relative) into at least one step.
+            evenly (to 1e-9 relative) into a finite count of one or more steps.
     """
     if not x_end > 0.0:
         raise ValueError(f"x must be positive, got {x_end!r}")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
     n = x_end / h
+    if not math.isfinite(n):
+        raise ValueError(f"h={h!r} divides [0, {x_end!r}] into too many steps to count")
     if round(n) == 0 or abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError(f"h={h!r} does not divide [0, {x_end!r}] into one or more even steps")
     return round(n)

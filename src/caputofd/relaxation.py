@@ -25,16 +25,17 @@ only names its last marched step, up to which the harmonic deficit
 zeta function serves the leaves).
 
 Steps below ``_NEAR_FIELD`` are marched one at a time, each summing its
-whole history with one dot product.  Later steps sum only the lags below
-``min(_NEAR_FIELD, _LEAF_NEAR)`` directly; older history reaches them
-through the blocked online convolution of Hairer, Lubich & Schlichte ("Fast
-numerical solution of nonlinear Volterra convolution equations", SIAM J.
-Sci. Stat. Comput. 6, 1985), which adds a finished block's far-field
-contribution to every later step of its sibling block with one FFT
-product.  From the first multiple of ``_LEAF`` at or past both
+whole history with one dot product.  The history is stored newest-first, so
+that product reads one contiguous slice and copies nothing.  Later steps sum
+only the lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly; older history
+reaches them through the blocked online convolution of Hairer, Lubich &
+Schlichte ("Fast numerical solution of nonlinear Volterra convolution
+equations", SIAM J. Sci. Stat. Comput. 6, 1985), which adds a finished
+block's far-field contribution to every later step of its sibling block with
+one FFT product.  From the first multiple of ``_LEAF`` at or past both
 ``_NEAR_FIELD`` and the series crossover on, the steps are solved ``_LEAF``
-at a time: one product with a precomputed Toeplitz slab of the weights
-adds the near lags from before the leaf, and a forward substitution on the
+at a time: one product with a precomputed Toeplitz slab of the weights adds
+the near lags from before the leaf, and a forward substitution on the
 constant lower-triangular Toeplitz matrix of the leaf carries the lags
 inside it.  The recurrence stays causal, so every damping, divergent runs
 included, is served in O(_NEAR_FIELD^2 + n * _LEAF_NEAR + n log^2 n).
@@ -306,11 +307,13 @@ def solve(
 
     Steps below the first leaf (step 4096) are marched one at a time, each
     summing its history ``sum_{k=1..m} lambda_k * u_{m-k}`` in one dot
-    product.  Later steps go in leaves of ``_LEAF`` (64) and split it at lag
-    ``_LEAF_NEAR`` (512).  The far lags come from a dyadic divide-and-conquer
-    over the grid, minus its nodes wholly below the first leaf: once the left
-    half ``[lo, mid)`` of a node is solved, one ``rfft``/``irfft`` product
-    adds its far-lag contribution to every step of ``[mid, hi)``.  The tail
+    product over a contiguous slice of the newest-first history, so no step
+    copies it; ``u`` is made contiguous once before the leaves.  Later steps
+    go in leaves of ``_LEAF`` (64) and split it at lag ``_LEAF_NEAR`` (512).
+    The far lags come from a dyadic divide-and-conquer over the grid, minus
+    its nodes wholly below the first leaf: once the left half ``[lo, mid)``
+    of a node is solved, one ``rfft``/``irfft`` product adds its far-lag
+    contribution to every step of ``[mid, hi)``.  The tail
     deltas of every step count are computed once, up front; step m adds
     ``t_j[m] * u_j`` for each delta, and at step 2 a third delta lands on
     ``lambda_0``.  The forcing and tail terms of all leaf steps are folded
@@ -363,7 +366,8 @@ def solve(
     gen_lam[0] = -gen_lam[0]
     far_kernel[width:] = gen_lam[width:]
 
-    u = np.empty(n + 1)
+    rev = np.empty(n + 1)
+    u = rev[::-1]  # newest first: step m's history u[m-1::-1] is rev[n-m+1:]
     u[0] = problem.y0
     u[1] = first_step(problem, h, mode)
     forcing = _forcing_on_grid(problem.forcing, h, n)
@@ -371,17 +375,15 @@ def solve(
     # dropped.  Built after the forcing, like the tails, for peak memory.
     splits = _far_field_splits(n, width, leaf)
     splits = {mid: node for mid, node in splits.items() if node[1] > _NEAR_FIELD}
-    march_forcing = forcing[: first_leaf - 2].tolist()
     # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.
     # They are built after the forcing and freed once the leaves have them,
     # so that no O(n) array of theirs meets the forcing's temporaries or the
     # leaves' FFTs, which set the peak memory of a long solve.  The marched
     # steps read S_m[1+alpha] from the running table, the leaves from Hurwitz.
     tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), march_end)]
-    march_tails = [t[: march_end - 1].tolist() for t in tails]
     # Step 2 reads its tail terms as stencil weights; a third delta lands
     # on lambda_0.  Every later step shares one denominator.
-    t = [row[0] for row in march_tails] + [0.0] * (3 - len(tails))
+    t = [row[0] for row in tails] + [0.0] * (3 - len(tails))
     lam0_2, lam0 = gen_lam[0] - t[2], gen_lam[0]
     for lam0_m in (lam0_2, lam0)[: n - 1]:
         if lam0_m + d_ha == 0.0:
@@ -392,20 +394,21 @@ def solve(
     # A divergent run overflows to inf and nan; `diverged` reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         history = (gen_lam[1] + t[1]) * u[1] + (gen_lam[2] + t[0]) * u[0]
-        u[2] = (ha * march_forcing[0] + history) / (lam0_2 + d_ha)
-        heads = u[:3].tolist()
-        for m in range(3, march_end + 1):
+        u[2] = (ha * forcing[0] + history) / (lam0_2 + d_ha)
+        steps = [range(3, march_end + 1), (ha * forcing[1 : march_end - 1]).tolist()]
+        steps += [(row[1 : march_end - 1] * u[j]).tolist() for j, row in enumerate(tails)]
+        steps += [[0.0] * (march_end - 2)] * (3 - len(tails))
+        for m, f, p0, p1, p2 in zip(*steps):
             split = splits.get(m)
             if split is not None:
                 _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
             if m < _NEAR_FIELD:
-                history = float(np.dot(gen_lam[1 : m + 1], u[m - 1 :: -1]))
+                history = float(np.dot(gen_lam[1 : m + 1], rev[n - m + 1 :]))
             else:
-                near = float(np.dot(gen_lam[1:width], u[m - 1 : m - width : -1]))
-                history = near + far[m]
-            for j, row in enumerate(march_tails):
-                history += row[m - 2] * heads[j]
-            u[m] = (ha * march_forcing[m - 2] + history) / den
+                history = float(np.dot(gen_lam[1:width], rev[n - m + 1 : n - m + width])) + far[m]
+            # Left to right, one term at a time; a missing delta's +0.0 is exact on a dot's sum.
+            rev[n - m] = (f + (history + p0 + p1 + p2)) / den
+        u = u.copy()  # contiguous, so the leaves' products round as before
 
         if n >= first_leaf:
             # Steps past the march: forcing and tail terms for all of them ...

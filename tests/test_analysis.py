@@ -319,6 +319,12 @@ class TestApproximationLadder:
         with pytest.raises(ValueError, match="divide"):
             grid_intervals(1.0, h)
 
+    @pytest.mark.parametrize("x, h", [(math.inf, 0.125), (1.0, 1e-320), (1e300, 1e-300)])
+    def test_uncountable_steps_are_a_value_error(self, x, h):
+        # x / h overflows to inf, which round() cannot convert to a count.
+        with pytest.raises(ValueError, match="too many steps"):
+            grid_intervals(x, h)
+
     @pytest.mark.parametrize(
         "x, h0, levels", [(1.0, 0.125, 1), (1.0, 0.3, 2), (0.0, 0.125, 2)]
     )

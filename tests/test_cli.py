@@ -171,6 +171,14 @@ class TestCaputo:
         assert code == 1
         assert "divide" in err
 
+    def test_infinite_x_is_a_usage_error(self, capsys):
+        code, _, err = _run(
+            capsys, "caputo", "--function", "exp", "--alpha", "0.5", "--x", "inf",
+            "--scheme", "l1", "--h", "0.125", "--levels", "2",
+        )
+        assert code == 1
+        assert "too many steps" in err
+
 
 class TestSolve:
     def test_grid_output(self, capsys):
@@ -278,6 +286,14 @@ class TestTable:
         )
         assert code == 1
         assert "divide" in err
+
+    def test_subnormal_h0_is_a_usage_error(self, capsys):
+        code, _, err = _run(
+            capsys, "table", "--equation", "eq1", "--alpha", "0.5",
+            "--scheme", "l1", "--h0", "1e-320", "--levels", "2",
+        )
+        assert code == 1
+        assert "too many steps" in err
 
     def test_failed_rung_exits_two(self, capsys):
         singular_d = -1.0 / (gamma(1.5) * 0.5**0.5)

@@ -35,6 +35,8 @@ from caputofd import (
 )
 from caputofd import relaxation
 from caputofd.caputo import caputo_quadrature
+from caputofd.schemes import _interior_weights, _tail_deltas, scheme_norm
+from caputofd.specfun import alpha_constants
 
 ALL_SCHEMES = list(SchemeId)
 
@@ -77,6 +79,31 @@ def _naive_solve(problem, scheme, n, start):
         acc = math.fsum(lam[k] * u[m - k] for k in range(1, m + 1))
         u.append((ha * problem.forcing(m * h) + acc) / (lam[0] + problem.D * ha))
     return np.array(u)
+
+
+def _march_recipe(problem, scheme, n):
+    """The march's float recipe below the first leaf, transcribed step by step.
+
+    Step m takes one ``np.dot`` over the reversed history ``u[m-1::-1]``,
+    adds each tail term ``t_j[m] * u_j`` in turn, then divides once.
+    """
+    alpha, h = problem.alpha, problem.x_end / n
+    ha, norm = h**alpha, scheme_norm(scheme, alpha)
+    lam = -_interior_weights(scheme, alpha, n, alpha_constants(alpha)) / norm
+    lam[0] = -lam[0]
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), n)]
+    t = [row[0] for row in tails] + [0.0] * (3 - len(tails))
+    f = np.broadcast_to(problem.forcing(np.arange(2, n + 1) * h), (n - 1,))
+    u = np.empty(n + 1)
+    u[0], u[1] = problem.y0, first_step(problem, h, default_start_mode(scheme))
+    history = (lam[1] + t[1]) * u[1] + (lam[2] + t[0]) * u[0]
+    u[2] = (ha * f[0] + history) / (lam[0] - t[2] + problem.D * ha)
+    for m in range(3, n + 1):
+        history = float(np.dot(lam[1 : m + 1], u[m - 1 :: -1]))
+        for row, head in zip(tails, u[:3]):
+            history += row[m - 2] * head
+        u[m] = (ha * f[m - 2] + history) / (lam[0] + problem.D * ha)
+    return u
 
 
 def _leaf_rows(monkeypatch):
@@ -399,6 +426,18 @@ class TestSolve:
             assert result.diverged
             assert not np.all(np.isfinite(result.u))
         assert rows  # the leaf path ran
+
+    def test_march_is_the_plain_recipe_bit_for_bit(self):
+        # L1, Mid2 and Right3mAlpha carry 1, 2 and 3 tail deltas.  At
+        # D = -7 the runs grow past 1e100, and Mid2's reaches inf and nan.
+        nonfinite = 0
+        for scheme in (SchemeId.L1, SchemeId.Mid2, SchemeId.Right3mAlpha):
+            for problem in (equation_catalog(0.3)[1], equation_catalog(0.3, D=-7.0)[3]):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = _march_recipe(problem, scheme, 300)
+                assert solve(problem, scheme, 300).u.tobytes() == expected.tobytes()
+                nonfinite += int(np.sum(~np.isfinite(expected)))
+        assert nonfinite
 
     @pytest.mark.parametrize(
         "scheme", [SchemeId.L1, SchemeId.Mid2, SchemeId.Right3mAlpha],
