@@ -25,8 +25,8 @@ only names its last marched step, up to which the harmonic deficit
 zeta function serves the leaves).
 
 Steps below ``_NEAR_FIELD`` are marched one at a time, each summing its
-whole history with one dot product.  The history is stored newest-first, so
-that product reads one contiguous slice and copies nothing.  Later steps sum
+whole history with one BLAS ``ddot`` at offsets into a newest-first buffer:
+no slice views, no copy and no numpy dispatch per step.  Later steps sum
 only the lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly; older history
 reaches them through the blocked online convolution of Hairer, Lubich &
 Schlichte ("Fast numerical solution of nonlinear Volterra convolution
@@ -51,6 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg.blas import ddot
 
 from .caputo import exact_caputo_cos2pix, exact_caputo_exp, exact_caputo_power
 from .schemes import (
@@ -306,10 +307,11 @@ def solve(
     """March the relaxation equation across ``n`` uniform steps.
 
     Steps below the first leaf (step 4096) are marched one at a time, each
-    summing its history ``sum_{k=1..m} lambda_k * u_{m-k}`` in one dot
-    product over a contiguous slice of the newest-first history, so no step
-    copies it; ``u`` is made contiguous once before the leaves.  Later steps
-    go in leaves of ``_LEAF`` (64) and split it at lag ``_LEAF_NEAR`` (512).
+    summing its history ``sum_{k=1..m} lambda_k * u_{m-k}`` with one BLAS
+    ``ddot`` at offsets into the newest-first history, so no step builds a
+    slice view, copies it or goes through numpy's dispatch; ``u`` is made
+    contiguous once before the leaves.  Later steps go in leaves of
+    ``_LEAF`` (64) and split it at lag ``_LEAF_NEAR`` (512).
     The far lags come from a dyadic divide-and-conquer over the grid, minus
     its nodes wholly below the first leaf: once the left half ``[lo, mid)``
     of a node is solved, one ``rfft``/``irfft`` product adds its far-lag
@@ -403,9 +405,9 @@ def solve(
             if split is not None:
                 _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
             if m < _NEAR_FIELD:
-                history = float(np.dot(gen_lam[1 : m + 1], rev[n - m + 1 :]))
+                history = ddot(gen_lam, rev, m, 1, 1, n - m + 1)
             else:
-                history = float(np.dot(gen_lam[1:width], rev[n - m + 1 : n - m + width])) + far[m]
+                history = ddot(gen_lam, rev, width - 1, 1, 1, n - m + 1) + far[m]
             # Left to right, one term at a time; a missing delta's +0.0 is exact on a dot's sum.
             rev[n - m] = (f + (history + p0 + p1 + p2)) / den
         u = u.copy()  # contiguous, so the leaves' products round as before

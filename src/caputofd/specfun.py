@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,13 +64,14 @@ def _elementwise(fn):
 
 
 def _libm(fn, xs: np.ndarray, *args) -> np.ndarray:
-    """``fn(x, *args)`` for each element of ``xs``, as Python floats.
+    """``fn(x, *args)`` for each element of the 1-D ``xs``, as a float array.
 
-    Powers, exponentials and cosines go through the C library one element
-    at a time, as a scalar call would; numpy's vectorized ``power``,
-    ``exp`` and ``cos`` may differ from it in the last bit.
+    The scalar function is mapped over the points, so powers, exponentials
+    and cosines go through the C library one element at a time and give the
+    scalar calls' values bit for bit; numpy's vectorized ``power``, ``exp``
+    and ``cos`` may differ from them in the last bit.
     """
-    return np.array([fn(v, *args) for v in xs.tolist()], dtype=float)
+    return np.fromiter(map(fn, xs.tolist(), *map(itertools.repeat, args)), float, xs.size)
 
 
 def gamma(x: float) -> float:

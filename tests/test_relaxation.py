@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import ddot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -438,6 +439,31 @@ class TestSolve:
                 assert solve(problem, scheme, 300).u.tobytes() == expected.tobytes()
                 nonfinite += int(np.sum(~np.isfinite(expected)))
         assert nonfinite
+
+    def test_offset_ddot_is_numpys_dot(self):
+        # The march's bit identity rests on scipy's BLAS ddot at offsets
+        # giving numpy's dot over the same slices; the two link separate
+        # BLAS builds, so a platform where they disagree fails here first.
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal(4096), rng.standard_normal(4096 + 9)
+        big = 1e307 * np.sign(y) * rng.uniform(0.5, 1.0, y.size)  # partial sums overflow
+        y_inf = y.copy()
+        y_inf[rng.choice(y.size, 12, replace=False)] = [np.inf, -np.inf] * 6
+        got, expected, cases = [], [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for data in (y, big, y_inf):
+                for m in range(1, 4096):
+                    for off in (0, 1, 9, data.size - m):  # the last as in the march
+                        got.append(ddot(x, data, m, 1, 1, off))
+                        expected.append(float(np.dot(x[1 : m + 1], data[off : off + m])))
+                        cases.append((m, off))
+        got, expected = np.array(got), np.array(expected)
+        assert np.isinf(expected).any() and np.isnan(expected).any()
+        bad = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+        assert not bad.size, (
+            f"{bad.size} mismatches; first at (m, offset) = {cases[bad[0]]}: "
+            f"ddot {got[bad[0]]!r}, np.dot {expected[bad[0]]!r}"
+        )
 
     @pytest.mark.parametrize(
         "scheme", [SchemeId.L1, SchemeId.Mid2, SchemeId.Right3mAlpha],
