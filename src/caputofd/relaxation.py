@@ -24,21 +24,19 @@ only names its last marched step, up to which the harmonic deficit
 ``S_m[1+alpha]`` comes from the running compensated table (the Hurwitz
 zeta function serves the leaves).
 
-Steps below ``_NEAR_FIELD`` are marched one at a time, each summing its
-whole history with one BLAS ``ddot`` at offsets into a newest-first buffer:
-no slice views, no copy and no numpy dispatch per step.  Later steps sum
-only the lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly; older history
-reaches them through the blocked online convolution of Hairer, Lubich &
-Schlichte ("Fast numerical solution of nonlinear Volterra convolution
-equations", SIAM J. Sci. Stat. Comput. 6, 1985), which adds a finished
-block's far-field contribution to every later step of its sibling block with
-one FFT product.  From the first multiple of ``_LEAF`` at or past both
-``_NEAR_FIELD`` and the series crossover on, the steps are solved ``_LEAF``
-at a time: one product with a precomputed Toeplitz slab of the weights adds
-the near lags from before the leaf, and a forward substitution on the
-constant lower-triangular Toeplitz matrix of the leaf carries the lags
-inside it.  The recurrence stays causal, so every damping, divergent runs
-included, is served in O(_NEAR_FIELD^2 + n * _LEAF_NEAR + n log^2 n).
+Steps before the first leaf (the first multiple of ``_LEAF`` at or past
+``_NEAR_FIELD`` and the series crossover) are marched one at a time, each
+summing every lag with one BLAS ``ddot`` at offsets into a newest-first buffer:
+no slice views, no copy and no numpy dispatch per step.  Each leaf of ``_LEAF``
+steps sums the lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly: a Toeplitz
+slab of the weights adds those from before it, and one LAPACK ``trtrs`` call on
+its lower-triangular Toeplitz matrix carries those inside it.  Older lags come
+from the blocked online convolution of Hairer, Lubich & Schlichte ("Fast
+numerical solution of nonlinear Volterra convolution equations", SIAM J. Sci.
+Stat. Comput. 6, 1985): one FFT product adds a finished block's far field to
+every later step of its sibling block, with the weights transformed once per
+block length.  The recurrence stays causal, so every damping, divergent runs
+included, costs O(_NEAR_FIELD^2 + n * _LEAF_NEAR + n log^2 n).
 """
 
 from __future__ import annotations
@@ -50,8 +48,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import toeplitz
 from scipy.linalg.blas import ddot
+from scipy.linalg.lapack import dtrtrs
 
 from .caputo import exact_caputo_cos2pix, exact_caputo_exp, exact_caputo_power
 from .schemes import (
@@ -81,9 +80,9 @@ __all__ = [
 #: completes so the blow-up profile can be inspected).
 _DIVERGENCE_LIMIT = 1e30
 
-#: Steps below this one sum every lag directly, so a solve with fewer steps
-#: than the first leaf is the plain march, bit for bit.  Later steps sum lags
-#: below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly, older ones by FFT.
+#: The march, which sums every lag directly, runs at least this far, so a
+#: shorter solve is the plain recipe bit for bit.  The leaves after it sum
+#: lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly, older ones by FFT.
 _NEAR_FIELD = 4096
 
 #: Only the march's bit-identity needs the whole ``_NEAR_FIELD`` summed
@@ -216,19 +215,22 @@ def _far_field_splits(n: int, width: int, align: int) -> dict[int, tuple[int, in
 
 
 def _add_far_field(
-    far: np.ndarray, u: np.ndarray, kernel: np.ndarray, lo: int, mid: int, hi: int, width: int
+    far: np.ndarray, u: np.ndarray, kernel: np.ndarray, spectra: dict[int, np.ndarray],
+    lo: int, mid: int, hi: int, width: int,
 ) -> None:
     """Add ``sum_{j in [lo, mid)} kernel[m - j] * u[j]`` to ``far[m]`` for ``m in [mid, hi)``.
 
     ``kernel`` is zero below lag ``width``, so only steps ``m >= lo + width``
-    receive anything.  The linear product of ``u[lo:mid]`` and
-    ``kernel[:hi - lo]`` ends at index ``hi - lo + (mid - lo) - 2``, so a
-    cyclic one of length at least ``hi - lo`` wraps only onto indices below
-    ``mid - lo`` and leaves ``[mid, hi)`` exact.
+    receive anything.  The linear product of ``u[lo:mid]`` and ``kernel[:size]``,
+    ``size = hi - lo``, ends at index ``size + mid - lo - 2``, so a cyclic one
+    of length at least ``size`` wraps only onto indices below ``mid - lo`` and
+    leaves ``[mid, hi)`` exact.  ``spectra`` keeps the kernel's transform per size.
     """
     size = hi - lo
     nfft = next_fast_len(size, real=True)
-    spec = rfft(u[lo:mid], nfft) * rfft(kernel[:size], nfft)
+    if size not in spectra:
+        spectra[size] = rfft(kernel[:size], nfft)
+    spec = rfft(u[lo:mid], nfft) * spectra[size]
     start = max(mid, lo + width)
     far[start:hi] += irfft(spec, nfft)[start - lo : size]
 
@@ -307,24 +309,24 @@ def solve(
     """March the relaxation equation across ``n`` uniform steps.
 
     Steps below the first leaf (step 4096) are marched one at a time, each
-    summing its history ``sum_{k=1..m} lambda_k * u_{m-k}`` with one BLAS
-    ``ddot`` at offsets into the newest-first history, so no step builds a
-    slice view, copies it or goes through numpy's dispatch; ``u`` is made
-    contiguous once before the leaves.  Later steps go in leaves of
-    ``_LEAF`` (64) and split it at lag ``_LEAF_NEAR`` (512).
-    The far lags come from a dyadic divide-and-conquer over the grid, minus
-    its nodes wholly below the first leaf: once the left half ``[lo, mid)``
-    of a node is solved, one ``rfft``/``irfft`` product adds its far-lag
-    contribution to every step of ``[mid, hi)``.  The tail
-    deltas of every step count are computed once, up front; step m adds
-    ``t_j[m] * u_j`` for each delta, and at step 2 a third delta lands on
-    ``lambda_0``.  The forcing and tail terms of all leaf steps are folded
-    into one right-hand side; each leaf adds the near lags from before it
-    with one product against a ``64 x 511`` Toeplitz slab of the weights, and
-    solves for its own values by forward substitution on the leaf's
-    lower-triangular Toeplitz matrix.  The march stays causal for any ``D``,
-    at O(4096^2 + n * 512) direct plus O(n log^2 n) FFT work.  Past the first
-    leaf the sums differ from the plain march's only by rounding.  The
+    summing its whole history ``sum_{k=1..m} lambda_k * u_{m-k}`` with one
+    BLAS ``ddot`` at offsets into the newest-first history, so no step builds
+    a slice view, copies it or goes through numpy's dispatch; ``u`` is made
+    contiguous once before the leaves.  Later steps go in leaves of ``_LEAF``
+    (64) and split it at lag ``_LEAF_NEAR`` (512).  The far lags come from a
+    dyadic divide-and-conquer over the grid, minus its nodes ending at or
+    before the first leaf: once the left half ``[lo, mid)`` of a node is
+    solved, one ``rfft``/``irfft`` product adds its far-lag contribution to
+    every step of ``[mid, hi)``; the weights are transformed once per node
+    length.  The tail deltas of every step count are computed once, up front;
+    step m adds ``t_j[m] * u_j`` for each delta, and at step 2 a third delta
+    lands on ``lambda_0``.  The forcing and tail terms of all leaf steps are
+    folded into one right-hand side; each leaf adds the near lags from before
+    it with one product against a ``64 x 511`` Toeplitz slab of the weights,
+    and solves for its own values with one LAPACK ``dtrtrs`` call on the
+    leaf's lower-triangular Toeplitz matrix.  The march stays causal for any
+    ``D``, at O(4096^2 + n * 512) direct plus O(n log^2 n) FFT work.  Past the
+    first leaf the sums differ from the plain march's only by rounding.  The
     forcing is evaluated once, on the whole grid, before the march.
 
     Args:
@@ -373,10 +375,10 @@ def solve(
     u[0] = problem.y0
     u[1] = first_step(problem, h, mode)
     forcing = _forcing_on_grid(problem.forcing, h, n)
-    # Only steps from _NEAR_FIELD on read far[]; nodes wholly below it are
-    # dropped.  Built after the forcing, like the tails, for peak memory.
-    splits = _far_field_splits(n, width, leaf)
-    splits = {mid: node for mid, node in splits.items() if node[1] > _NEAR_FIELD}
+    # Only the leaves read far[]; nodes ending at or before the first leaf
+    # are dropped.  Built after the forcing, like the tails, for peak memory.
+    splits = _far_field_splits(n, width, leaf).items()
+    nodes = sorted(((mid, lo, hi) for mid, (lo, hi) in splits if hi > first_leaf), reverse=True)
     # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.
     # They are built after the forcing and freed once the leaves have them,
     # so that no O(n) array of theirs meets the forcing's temporaries or the
@@ -401,13 +403,7 @@ def solve(
         steps += [(row[1 : march_end - 1] * u[j]).tolist() for j, row in enumerate(tails)]
         steps += [[0.0] * (march_end - 2)] * (3 - len(tails))
         for m, f, p0, p1, p2 in zip(*steps):
-            split = splits.get(m)
-            if split is not None:
-                _add_far_field(far, u, far_kernel, split[0], m, split[1], width)
-            if m < _NEAR_FIELD:
-                history = ddot(gen_lam, rev, m, 1, 1, n - m + 1)
-            else:
-                history = ddot(gen_lam, rev, width - 1, 1, 1, n - m + 1) + far[m]
+            history = ddot(gen_lam, rev, m, 1, 1, n - m + 1)
             # Left to right, one term at a time; a missing delta's +0.0 is exact on a dot's sum.
             rev[n - m] = (f + (history + p0 + p1 + p2)) / den
         u = u.copy()  # contiguous, so the leaves' products round as before
@@ -426,17 +422,21 @@ def solve(
             for i in range(leaf):
                 slab[i, i:] = gen_lam[width - 1 : i : -1]
             tri = toeplitz(np.concatenate(([gen_lam[0] + d_ha], -gen_lam[1:leaf])), np.zeros(leaf))
+            # A node adds its far lags before the first leaf at or past its split
+            # point, in split order (nodes[-1] first), with one transform per length.
+            spectra: dict[int, np.ndarray] = {}
             for lo in range(first_leaf, n + 1, leaf):
-                split = splits.get(lo)
-                if split is not None:
-                    _add_far_field(far, u, far_kernel, split[0], lo, split[1], width)
+                while nodes and nodes[-1][0] <= lo:
+                    mid, left, right = nodes.pop()
+                    _add_far_field(far, u, far_kernel, spectra, left, mid, right, width)
                 hi = min(lo + leaf, n + 1)
                 rows = hi - lo
                 b = rhs[lo - first_leaf : hi - first_leaf] + far[lo:hi]
                 b += slab[:rows] @ u[lo - width + 1 : lo]
-                u[lo:hi] = solve_triangular(
-                    tri[:rows, :rows], b, lower=True, check_finite=False
-                )
+                # tri.T is upper triangular in Fortran order; trans=1 solves tri @ x = b.
+                u[lo:hi], info = dtrtrs(tri[:rows, :rows].T, b, lower=0, trans=1, overwrite_b=1)
+                if info:
+                    raise np.linalg.LinAlgError(f"dtrtrs info {info} on the leaf at step {lo}")
         diverged = not bool(np.all(np.abs(u) <= _DIVERGENCE_LIMIT))
 
     max_error: Optional[float] = None

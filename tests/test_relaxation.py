@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.blas import ddot
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,10 +114,30 @@ def _leaf_rows(monkeypatch):
 
     def spy(a, b, **kwargs):
         rows.append(len(b))
-        return scipy.linalg.solve_triangular(a, b, **kwargs)
+        return scipy.linalg.lapack.dtrtrs(a, b, **kwargs)
 
-    monkeypatch.setattr(relaxation, "solve_triangular", spy)
+    monkeypatch.setattr(relaxation, "dtrtrs", spy)
     return rows
+
+
+def _far_field_nodes(monkeypatch):
+    """``(lo, hi)`` of the far-field nodes that ``solve`` adds from now on."""
+    nodes = []
+    add_far_field = relaxation._add_far_field
+
+    def spy(far, u, kernel, spectra, lo, mid, hi, width):
+        nodes.append((lo, hi))
+        add_far_field(far, u, kernel, spectra, lo, mid, hi, width)
+
+    monkeypatch.setattr(relaxation, "_add_far_field", spy)
+    return nodes
+
+
+def _leaf_matrix(scheme, alpha, damping, n):
+    """The leaf's lower-triangular Toeplitz matrix, built as ``solve`` builds it."""
+    lam = -_interior_weights(scheme, alpha, n, alpha_constants(alpha)) / scheme_norm(scheme, alpha)
+    d_ha = damping * (1.0 / n) ** alpha
+    return scipy.linalg.toeplitz(np.concatenate(([-lam[0] + d_ha], -lam[1:64])), np.zeros(64))
 
 
 class TestCatalog:
@@ -523,14 +544,7 @@ class TestSolve:
     def test_no_far_field_below_the_first_leaf(self, monkeypatch):
         # The march sums every lag directly, so a far-field node wholly
         # below the first leaf would be an FFT nobody reads.
-        nodes = []
-        add_far_field = relaxation._add_far_field
-
-        def spy(far, u, kernel, lo, mid, hi, width):
-            nodes.append((lo, hi))
-            add_far_field(far, u, kernel, lo, mid, hi, width)
-
-        monkeypatch.setattr(relaxation, "_add_far_field", spy)
+        nodes = _far_field_nodes(monkeypatch)
         problem = equation_catalog(0.5)[1]
         solve(problem, SchemeId.L1, FIRST_LEAF - 1)
         assert nodes == []
@@ -540,6 +554,90 @@ class TestSolve:
         # Lags from 512 on go through the far field, so leaves feed leaves.
         solve(problem, SchemeId.L1, FIRST_LEAF + 32 * 64 + 1)
         assert any(lo >= FIRST_LEAF for lo, _ in nodes)
+
+    def test_narrow_march_sums_every_lag(self, monkeypatch):
+        # Width 16 puts the first leaf at step 64, so the march passes the
+        # near field: each of its steps still sums every lag with one ddot,
+        # and no far-field node that ends at or before step 64 is evaluated.
+        monkeypatch.setattr(relaxation, "_NEAR_FIELD", 16)
+        lengths = []
+
+        def spy(x, y, n, *args):
+            lengths.append(n)
+            return ddot(x, y, n, *args)
+
+        monkeypatch.setattr(relaxation, "ddot", spy)
+        nodes = _far_field_nodes(monkeypatch)
+        solve(equation_catalog(0.5)[1], SchemeId.L1, 300)
+        assert lengths == list(range(3, 64))
+        assert nodes and all(hi > 64 for _, hi in nodes)
+
+    @pytest.mark.parametrize(
+        "scheme,damping", [(SchemeId.L1, -1.0), (SchemeId.Mid2, 1.0), (SchemeId.Right3mAlpha, -5.0)],
+        ids=lambda v: v.name if isinstance(v, SchemeId) else str(v),
+    )
+    def test_leaf_dtrtrs_is_solve_triangular(self, scheme, damping):
+        # The leaves call LAPACK dtrtrs on the transposed (Fortran-ordered)
+        # matrix with trans=1, the call solve_triangular makes internally;
+        # the two must agree bit for bit, overflow, inf and nan included.
+        tri = _leaf_matrix(scheme, 0.3, damping, FIRST_LEAF + 32 * 64 + 1)
+        rng = np.random.default_rng(11)
+        normal = rng.standard_normal(64)
+        big = 1e307 * np.sign(normal) * rng.uniform(0.5, 1.0, 64)  # solves overflow
+        special = normal.copy()
+        special[rng.choice(64, 9, replace=False)] = [np.inf, -np.inf, np.nan] * 3
+        nonfinite = 0
+        for b in (normal, big, special):
+            for rows in range(1, 65):
+                expected = scipy.linalg.solve_triangular(
+                    tri[:rows, :rows], b[:rows], lower=True, check_finite=False
+                )
+                got, info = relaxation.dtrtrs(
+                    tri[:rows, :rows].T, b[:rows].copy(), lower=0, trans=1, overwrite_b=1
+                )
+                assert info == 0
+                assert got.tobytes() == expected.tobytes(), (rows, b[0])
+                nonfinite += int(np.sum(~np.isfinite(expected)))
+        assert nonfinite
+
+    def test_shared_spectrum_is_the_per_node_transform(self):
+        # Every node of one length reuses the first one's kernel transform;
+        # the far field must equal the per-node rfft recipe bit for bit.
+        n, width = FIRST_LEAF + 32 * 64 + 1, 512
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(n + 1)
+        kernel = np.zeros(n + 1)
+        kernel[width:] = rng.standard_normal(n + 1 - width)
+        splits = relaxation._far_field_splits(n, width, 64)
+        spectra = {}
+        for mid, (lo, hi) in sorted(splits.items()):
+            got = np.zeros(n + 1)
+            relaxation._add_far_field(got, u, kernel, spectra, lo, mid, hi, width)
+            size = hi - lo
+            nfft = next_fast_len(size, real=True)
+            expected = np.zeros(n + 1)
+            start = max(mid, lo + width)
+            spec = rfft(u[lo:mid], nfft) * rfft(kernel[:size], nfft)
+            expected[start:hi] += irfft(spec, nfft)[start - lo : size]
+            assert got.tobytes() == expected.tobytes(), (lo, mid, hi)
+        sizes = {hi - lo for lo, hi in splits.values()}
+        assert sorted(spectra) == sorted(sizes) and len(sizes) < len(splits)
+
+    def test_kernel_transformed_once_per_length(self, monkeypatch):
+        # Each node transforms its half of u; the kernel is transformed once
+        # per distinct node length (13 for the 117 nodes at n = 40960).
+        calls = []
+
+        def spy(x, *args, **kwargs):
+            calls.append(len(x))
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(relaxation, "rfft", spy)
+        nodes = _far_field_nodes(monkeypatch)
+        solve(equation_catalog(0.5)[1], SchemeId.L1, 40960)
+        lengths = {hi - lo for lo, hi in nodes}
+        assert (len(nodes), len(lengths)) == (117, 13)
+        assert len(calls) == len(nodes) + len(lengths)
 
     def test_far_field_leaves_no_reference_cycles(self):
         # A cycle would keep every array of the solve alive until the
