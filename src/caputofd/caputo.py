@@ -14,10 +14,14 @@ Sampled data is stored right to left (``values[k] = y(x - k*h)``), matching
 the lag-index convention of the weight vectors, so applying a stencil is a
 plain weighted sum.
 
-Summation policy: accumulations whose terms can cancel (stencil sums, the
-fourth-order formula, the shifted-zeta series) go through ``math.fsum``, except
-the cos series, which adds its alternating terms on all points at once with a
-vectorized Neumaier compensation.  Ordinary numpy pairwise sums are used only
+Summation policy: accumulations whose terms can cancel are correctly
+rounded.  Stencil sums and the fourth-order formula give ``math.fsum``'s value
+bit for bit through :func:`specfun._exact_sum`, a few numpy passes of Rump,
+Ogita and Oishi's error-free extraction (SIAM J. Sci. Comput. 31, 2008) that
+falls back to ``math.fsum`` itself for empty, all-zero, non-finite or huge
+input.  The shifted-zeta series, a short scalar generator, calls ``math.fsum``
+directly.  The cos series adds its alternating terms on all points at once with
+a vectorized Neumaier compensation.  Ordinary numpy pairwise sums are used only
 for same-sign series where rounding is benign.
 """
 
@@ -28,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .specfun import _elementwise, _libm, alpha_constants, mittag_leffler_1
+from .specfun import _elementwise, _exact_sum, _libm, alpha_constants, mittag_leffler_1
 from .schemes import WeightVector
 
 __all__ = [
@@ -204,13 +208,19 @@ def exact_caputo_cos2pix(alpha: float, x):
 
 
 def apply_stencil(wv: WeightVector, path: SampledPath) -> float:
-    """Evaluate ``sum_k w_k y(x - k h) / (C h^alpha)`` for one stencil."""
+    """Evaluate ``sum_k w_k y(x - k h) / (C h^alpha)`` for one stencil.
+
+    The weighted sum is correctly rounded, ``math.fsum``'s value bit for
+    bit, by :func:`specfun._exact_sum` (Rump, Ogita and Oishi 2008; non-finite
+    or huge products fall back to ``math.fsum``), so cancellation between
+    the weights costs no precision.
+    """
     if wv.n != path.n:
         raise ValueError(
             f"stencil has {wv.n + 1} weights but path has {path.n + 1} samples"
         )
     h = path.h
-    acc = math.fsum((wv.weights * path.values).tolist())
+    acc = _exact_sum(wv.weights * path.values)
     return acc / (wv.norm * h**wv.alpha)
 
 
@@ -220,8 +230,8 @@ def fourth_order_eval(f: TestFunction, alpha: float, x: float, n: int) -> float:
     Combines the right-sided power-kernel sum of the sampled values with
     zeta-weighted endpoint derivative corrections (orders one through four)
     and the h^2 initial-point term; the result converges as O(h^4).  All
-    terms share one compensated sum so the large kernel/zeta cancellation
-    costs no precision.
+    terms share one correctly rounded sum (:func:`specfun._exact_sum`) so
+    the large kernel/zeta cancellation costs no precision.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
@@ -233,10 +243,9 @@ def fourth_order_eval(f: TestFunction, alpha: float, x: float, n: int) -> float:
     ks = np.arange(1, n, dtype=float)
     vals = np.asarray(f.eval(x - h * ks), dtype=float)
     hma = h**-a
-    terms = (vals * ks ** (-1.0 - a) * hma).tolist()
     y0 = f.value_at_zero
     d1, d2, d3, d4 = (float(g(x)) for g in f.derivatives)
-    terms += [
+    corrections = [
         -c.zeta_ap1 * float(f.eval(x)) * hma,
         y0 / (a * x**a),
         y0 * h / (2.0 * x ** (1.0 + a)),
@@ -246,7 +255,7 @@ def fourth_order_eval(f: TestFunction, alpha: float, x: float, n: int) -> float:
         -c.zeta_am3 * d4 * h ** (4.0 - a) / 24.0,
         (x * f.first_deriv_at_zero + (1.0 + a) * y0) * h * h / (12.0 * x ** (2.0 + a)),
     ]
-    return math.fsum(terms) / c.gamma_ma
+    return _exact_sum(np.concatenate((vals * ks ** (-1.0 - a) * hma, corrections))) / c.gamma_ma
 
 
 def caputo_quadrature(

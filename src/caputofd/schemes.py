@@ -53,7 +53,6 @@ past it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -61,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .specfun import AlphaConstants, alpha_constants
+from .specfun import AlphaConstants, _exact_sum, alpha_constants
 
 #: Largest n for which the deficit closed forms are evaluated directly.
 _ASYM_N = 50
@@ -123,7 +122,8 @@ class WeightVector:
 
     Weights are stored raw (printed-formula convention, not sign
     normalized), so closed-form values can be compared directly;
-    :func:`normalized_lambda` produces the solver-facing form.
+    :func:`normalized_lambda` produces the solver-facing form.  The
+    weights are kept as a read-only float copy of exactly ``n + 1`` values.
     """
 
     scheme: SchemeId
@@ -133,7 +133,15 @@ class WeightVector:
     norm: float
 
     def __post_init__(self) -> None:
-        self.weights.setflags(write=False)
+        if self.n < 2:
+            raise ValueError(f"need at least two intervals, got n={self.n}")
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (self.n + 1,):
+            raise ValueError(
+                f"expected {self.n + 1} weights for n={self.n}, got shape {w.shape}"
+            )
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
 
 def _deficit_table(s: float, m_max: int, zeta_s: float) -> np.ndarray:
@@ -429,7 +437,7 @@ def validate_weights(wv: WeightVector) -> PropertyReport:
     v = w if wv.norm > 0 else -w  # oriented: positive leading weight expected
     checks: list[PropertyCheck] = []
 
-    total = math.fsum(w.tolist())
+    total = _exact_sum(w)
     scale = float(np.max(np.abs(w)))
     checks.append(
         PropertyCheck(
@@ -446,7 +454,7 @@ def validate_weights(wv: WeightVector) -> PropertyReport:
         # sum k*w_k = -n^(1-alpha) * C / Gamma(2-alpha).
         c = alpha_constants(alpha)
         target = -float(n) ** (1.0 - alpha) * wv.norm / c.gamma_2ma
-        moment = math.fsum((np.arange(1, n + 1) * w[1:]).tolist())
+        moment = _exact_sum(np.arange(1, n + 1) * w[1:])
         checks.append(
             PropertyCheck(
                 "linear_moment",

@@ -74,6 +74,37 @@ def _libm(fn, xs: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, xs.tolist(), *map(itertools.repeat, args)), float, xs.size)
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """``math.fsum`` of the 1-D float array ``x``, bit for bit, in a few numpy passes.
+
+    Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci.
+    Comput. 31, 2008, Lemma 3.3): with ``sigma`` a power of two at least
+    ``2**M * max|p|`` and ``x.size + 2 <= 2**M``, ``q = (sigma + p) - sigma``
+    and ``p - q`` are exact and ``sum(q)`` is exact in any order.  Each pass
+    leaves a remainder about ``2**(53 - M)`` times smaller; the exact pass
+    sums are then rounded once by ``math.fsum``, so the result is the
+    correctly rounded sum.  Empty, all-zero, non-finite and huge
+    (``max|x| > 2**900``) input goes to ``math.fsum`` itself, which keeps its
+    signed zeros, ``inf``/``nan`` and ``OverflowError``.
+    """
+    p = np.array(x, dtype=float)  # a copy: the passes work in place
+    q = np.abs(p)
+    mu = float(q.max()) if p.size else 0.0
+    if not 0.0 < mu <= 2.0**900:
+        return math.fsum(p.tolist())
+    scale = 2.0 ** (p.size + 1).bit_length()  # 2**ceil(log2(size + 2))
+    taus = []
+    while mu:
+        sigma = math.ldexp(scale, math.frexp(mu)[1])
+        np.add(p, sigma, out=q)
+        q -= sigma  # q = (sigma + p) - sigma
+        p -= q
+        taus.append(float(q.sum()))
+        mu = float(np.abs(p, out=q).max())
+    return math.fsum(taus)
+
+
 def gamma(x: float) -> float:
     """Gamma function with an explicit pole check.
 

@@ -1,5 +1,6 @@
 """Tests for exact Caputo derivatives, stencil application, and the oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from caputofd import (
     gamma,
     mittag_leffler_1,
     sample_path,
+    validate_weights,
 )
+from caputofd import caputo, schemes
 
 CATALOG_NAMES = {
     "t",
@@ -294,6 +297,44 @@ def test_apply_stencil_length_mismatch():
     path = SampledPath(x=1.0, n=10, values=np.zeros(11))
     with pytest.raises(ValueError):
         apply_stencil(wv, path)
+
+
+def _fsum_of_list(a):
+    """The summation recipe ``_exact_sum`` replaced."""
+    return math.fsum(np.asarray(a).tolist())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 64, 1025, 65536])
+def test_stencil_sums_are_the_fsum_recipes(n, monkeypatch):
+    """apply_stencil's value and every validate_weights check are the old
+    ``math.fsum(....tolist())`` results bit for bit."""
+    cat = function_catalog()
+    paths = [sample_path(cat[name], 1.0, n) for name in ("exp", "cos2pi", "arctan", "log1p")]
+    for scheme in SchemeId:
+        for alpha in (0.2, 0.5, 0.8):
+            wv = build_weights(scheme, alpha, n)
+            for path in paths:
+                old = math.fsum((wv.weights * path.values).tolist()) / (wv.norm * path.h**alpha)
+                assert float.hex(apply_stencil(wv, path)) == float.hex(old)
+            new = validate_weights(wv)
+            with monkeypatch.context() as m:
+                m.setattr(schemes, "_exact_sum", _fsum_of_list)
+                recipe = validate_weights(wv)
+            assert [(c.name, c.passed, c.detail) for c in new.checks] == [
+                (c.name, c.passed, c.detail) for c in recipe.checks
+            ]
+
+
+def test_fourth_order_sum_is_the_fsum_recipe(monkeypatch):
+    cat = function_catalog()
+    points = [("arctan", 1.0), ("log1p", 2.0), ("zeta_shift2", 3.0)]
+    for (name, x), alpha in itertools.product(points, (0.2, 0.5, 0.8)):
+        for n in (round(x / 0.05) * 2**k for k in range(5)):
+            new = fourth_order_eval(cat[name], alpha, x, n)
+            with monkeypatch.context() as m:
+                m.setattr(caputo, "_exact_sum", _fsum_of_list)
+                old = fourth_order_eval(cat[name], alpha, x, n)
+            assert float.hex(new) == float.hex(old)
 
 
 def test_l1_order_on_quartic():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from caputofd import (
     SchemeId,
+    WeightVector,
     build_weights,
     expansion_coefficients,
     nominal_order,
@@ -496,6 +497,25 @@ def test_weight_vector_is_frozen():
     assert not wv.weights.flags.writeable
     with pytest.raises(ValueError):
         wv.weights[0] = 0.0
+
+
+def test_weight_vector_copies_its_weights():
+    mine = np.array([1.0, -2.0, 1.0])
+    wv = WeightVector(SchemeId.L1, 0.5, 2, mine, 1.0)
+    assert mine.flags.writeable
+    mine[0] = 7.0
+    assert wv.weights[0] == 1.0 and not wv.weights.flags.writeable
+    listed = WeightVector(SchemeId.L1, 0.5, 2, [1, -2, 1], 1.0)
+    assert listed.weights.dtype == np.float64
+    assert listed.weights.tolist() == [1.0, -2.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "n, weights", [(5, [1.0, -2.0, 1.0]), (2, [[1.0, -2.0, 1.0]]), (1, [1.0, -1.0])]
+)
+def test_weight_vector_shape_is_checked(n, weights):
+    with pytest.raises(ValueError):
+        WeightVector(SchemeId.L1, 0.5, n, np.array(weights), 1.0)
 
 
 @pytest.mark.parametrize(

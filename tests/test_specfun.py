@@ -19,7 +19,7 @@ from caputofd import (
     mittag_leffler_1,
     zeta,
 )
-from caputofd.specfun import _libm
+from caputofd.specfun import _exact_sum, _libm
 
 # mpmath.zeta, dps=40
 ZETA_TABLE = {
@@ -256,3 +256,49 @@ def test_libm_gives_the_scalar_calls(fn, args):
     assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
     empty = _libm(fn, np.empty(0), *args)
     assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def _fsum_outcome(fn, x):
+    """``fn(x)`` as its float's hex digits and sign bit, or the exception type."""
+    try:
+        value = fn(x)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return float.hex(value), math.copysign(1.0, value)
+
+
+def test_exact_sum_is_fsum():
+    """Bit for bit ``math.fsum``: seeded arrays over the whole exponent range,
+    cancellation, half-ulp ties, the sizes where the extraction's scale
+    steps, signed zeros and the non-finite fallback."""
+    rng = np.random.default_rng(2008)
+    cases = []
+    for n in (3, 17, 256, 4099):
+        mant = rng.uniform(-1.0, 1.0, n)
+        cases.append(np.ldexp(mant, rng.integers(-1074, 900, n)))  # subnormals included
+        cases.append(np.ldexp(mant, rng.integers(-1074, -1000, n)))
+        x = np.ldexp(mant, rng.integers(-40, 40, n))
+        cases.append(rng.permutation(np.concatenate((x, -x, [2.0**-70, -3.0 * 2.0**-95]))))
+        cases.append(np.ldexp(rng.integers(-3, 4, n).astype(float), rng.integers(-60, 3, n)))
+    cases += [
+        np.array([1.0, 2.0**-53]),
+        np.array([1.0, 2.0**-53, 2.0**-1074]),
+        np.array([1.0, -(2.0**-54)]),
+        np.array([2.0**1000, 1.0, -(2.0**1000)]),
+        np.array([1e308, -1e308, 5e-324]),
+    ]
+    for n in (0, 1, 2**17 - 3, 2**17 - 2, 2**17):
+        cases.append(rng.uniform(-2.0, -1.9, n))  # sums near the extraction's sigma
+        cases.append(rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n)))
+    cases += [np.full(5, -0.0), np.zeros(3), np.array([-0.0, 0.0])]
+    cases += [
+        np.array([1.0, math.inf]),
+        np.array([-math.inf, 2.0]),
+        np.array([math.nan, 1.0]),
+        np.array([math.inf, -math.inf]),
+        np.array([1e308, 1e308]),
+    ]
+    for x in cases:
+        assert _fsum_outcome(_exact_sum, x) == _fsum_outcome(lambda a: math.fsum(a.tolist()), x)
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([1e308, 1e308]))
