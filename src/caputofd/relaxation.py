@@ -21,8 +21,8 @@ tail deltas computed once for every step count.  The delta at index
 in ``u_0``, ``u_1`` and ``u_2`` to its history sum.  How a tail
 coefficient is computed is left to :mod:`caputofd.schemes`; the solver
 only names its last marched step, up to which the harmonic deficit
-``S_m[1+alpha]`` comes from the running compensated table (the Hurwitz
-zeta function serves the leaves).
+``S_m[1+alpha]`` comes from the running compensated table (the leaves, all
+past ``_ASYM_N``, read the Euler-Maclaurin expansion).
 
 Steps before the first leaf (the first multiple of ``_LEAF`` at or past
 ``_NEAR_FIELD`` and the series crossover) are marched one at a time, each
@@ -383,7 +383,7 @@ def solve(
     # They are built after the forcing and freed once the leaves have them,
     # so that no O(n) array of theirs meets the forcing's temporaries or the
     # leaves' FFTs, which set the peak memory of a long solve.  The marched
-    # steps read S_m[1+alpha] from the running table, the leaves from Hurwitz.
+    # steps read S_m[1+alpha] from the running table, the leaves from a series.
     tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), march_end)]
     # Step 2 reads its tail terms as stencil weights; a third delta lands
     # on lambda_0.  Every later step shares one denominator.
@@ -461,8 +461,10 @@ def stability_check(
     here as ``min over 2 <= m <= n of m^alpha * lambda_m``.  Everything
     else — including ``D = 0``, which the error bounds never treat — is
     reported as outside the theory.  The verdict is advisory only; no
-    solve is ever blocked.
+    solve is ever blocked.  ``n < 2`` raises ``ValueError``, as in :func:`solve`.
     """
+    if n < 2:
+        raise ValueError(f"need at least two steps, got n={n!r}")
     if problem.D > 0.0:
         return StabilityVerdict.GuaranteedConvergent
     if problem.D == 0.0:
@@ -470,7 +472,7 @@ def stability_check(
 
     alpha = problem.alpha
     norm = scheme_norm(scheme, alpha)
-    ms = np.arange(2, max(n, 2) + 1)
+    ms = np.arange(2, n + 1)
     # lambda_m of the m-step stencil: its interior weight at m plus d_0(m).
     w_last = _interior_weights(scheme, alpha, ms[-1], alpha_constants(alpha))[2:]
     w_last += _tail_deltas(scheme, alpha, ms)[0]

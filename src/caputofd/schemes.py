@@ -38,17 +38,18 @@ Tail corrections are built from the harmonic deficits
                + n^(2-alpha)/(alpha(alpha-1)(alpha-2)).
 
 The closed forms above suffer catastrophic cancellation for large n (the
-K_2 one loses ~n^2 ulps), so past ``n = 50`` they are evaluated by their
-Euler-Maclaurin expansions instead.  The branches do not meet at full
+K_2 one loses ~n^2 ulps), so past ``n = 50`` all four come from one
+Euler-Maclaurin expansion, :func:`caputofd.specfun._em_tail`: with
+``S_n[s] = -zeta(s, n)`` it is the Hurwitz zeta tail, and ``K_1``, ``K_2``
+are its differences in ``s``.  The branches do not meet at full
 precision: against mpmath (40 digits, alpha = 0.1, 0.2, ..., 0.9) the
 n = 50 closed forms are off by up to 2.1e-13 (W_n), 4.3e-10 (K_1) and
-6.2e-6 (K_2) relative, while the n = 51 series are within 2.4e-13.  A
-better K_2 crossover is an open item (ROADMAP.md, item 3).
+6.2e-6 (K_2) relative, while the series are within 3.1e-15 from n = 51
+to 2^20.  Lower crossovers are an open item (ROADMAP.md, item 7).
 
 ``_tail_coefficients`` is the one place that makes this split, and the
 one place that picks the source of ``S_n[1+alpha]``: the running
-compensated sum up to a step its caller names, the Hurwitz zeta function
-past it.
+compensated sum up to a step its caller names, the same expansion past it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
-from .specfun import AlphaConstants, _exact_sum, alpha_constants
+from .specfun import AlphaConstants, _em_tail, _exact_sum, alpha_constants
 
 #: Largest n for which the deficit closed forms are evaluated directly.
 _ASYM_N = 50
@@ -163,37 +163,6 @@ def _deficit_table(s: float, m_max: int, zeta_s: float) -> np.ndarray:
 # --- tail coefficients --------------------------------------------------------
 
 
-def _w_mid_series(a: float, n: np.ndarray) -> np.ndarray:
-    na = n ** -a
-    return (
-        -0.5 * na
-        - a * na / (12.0 * n)
-        + a * (1 + a) * (2 + a) * na / (720.0 * n**3)
-        - a * (1 + a) * (2 + a) * (3 + a) * (4 + a) * na / (30240.0 * n**5)
-    )
-
-
-def _k1_series(a: float, n: np.ndarray) -> np.ndarray:
-    base = n ** (-1.0 - a)
-    return base * (
-        -1.0 / 12.0
-        + (1 + a) * (2 + a) / (240.0 * n**2)
-        - (1 + a) * (2 + a) * (3 + a) * (4 + a) / (6048.0 * n**4)
-        + (1 + a) * (2 + a) * (3 + a) * (4 + a) * (5 + a) * (6 + a) / (172800.0 * n**6)
-    )
-
-
-def _k2_series(a: float, n: np.ndarray) -> np.ndarray:
-    base = n ** (-2.0 - a)
-    return base * (
-        (1 + a) / 240.0
-        - (1 + a) * (2 + a) * (3 + a) / (3024.0 * n**2)
-        + (1 + a) * (2 + a) * (3 + a) * (4 + a) * (5 + a) / (57600.0 * n**4)
-        - (1 + a) * (2 + a) * (3 + a) * (4 + a) * (5 + a) * (6 + a) * (7 + a)
-        / (1330560.0 * n**6)
-    )
-
-
 def _tail_coefficients(
     alpha: float, ms: np.ndarray, names: tuple[str, ...], table_end: int = _ASYM_N
 ) -> tuple[np.ndarray, ...]:
@@ -203,9 +172,12 @@ def _tail_coefficients(
     ``"k1"`` and ``"k2"``; the arrays come back in the order named.  This
     is the one place that decides how a coefficient is computed:
     ``S_m[1+alpha]`` is the running compensated table for ``m <= table_end``
-    and the Hurwitz ``-zeta(1+alpha, m)`` past it, while ``W``, ``K_1`` and
-    ``K_2`` take their closed forms in the table's ``S_m`` for
-    ``m <= _ASYM_N`` and their Euler-Maclaurin series past it.
+    and ``-zeta(1+alpha, m)`` from :func:`_em_tail` past it, while ``W``,
+    ``K_1`` and ``K_2`` take their closed forms in the table's ``S_m`` for
+    ``m <= _ASYM_N`` and :func:`_em_tail` past it.
+
+    The expansion needs ``m > _ASYM_N``, so every m past ``table_end``
+    must exceed it; ``solve`` keeps its first leaf past ``_ASYM_N``.
     """
     c = alpha_constants(alpha)
     mf = np.asarray(ms, dtype=float)
@@ -221,17 +193,17 @@ def _tail_coefficients(
     out: dict[str, np.ndarray] = {}
     if {"s1", "k1", "k2"} & set(names):
         known = int(np.searchsorted(mf, table_end, side="right"))
-        out["s1"] = s1 = np.concatenate(
-            (deficit(1.0 + alpha, c.zeta_ap1, known), -special.zeta(1.0 + alpha, mf[known:]))
-        )
+        far = mf[known:]
+        hurwitz = far**-alpha / alpha + 0.5 * far ** (-1.0 - alpha) + _em_tail(1.0 + alpha, far, 1)
+        out["s1"] = s1 = np.concatenate((deficit(1.0 + alpha, c.zeta_ap1, known), -hurwitz))
     if {"w", "k1", "k2"} & set(names):
         s_a = deficit(alpha, c.zeta_a)
     if "w" in names:
         w = s_a - n ** (1.0 - alpha) / (1.0 - alpha)
-        out["w"] = np.concatenate((w, _w_mid_series(alpha, tail)))
+        out["w"] = np.concatenate((w, -(0.5 * tail**-alpha + _em_tail(alpha, tail, 1))))
     if "k1" in names:
         k1 = n * s1[:cut] - s_a + n ** (1.0 - alpha) / (alpha * (1.0 - alpha))
-        out["k1"] = np.concatenate((k1, _k1_series(alpha, tail)))
+        out["k1"] = np.concatenate((k1, -_em_tail(1.0 + alpha, tail, 2)))
     if "k2" in names:
         k2 = (
             0.5 * n * n * s1[:cut]
@@ -239,7 +211,7 @@ def _tail_coefficients(
             + 0.5 * deficit(alpha - 1.0, c.zeta_am1)
             + n ** (2.0 - alpha) / (alpha * (alpha - 1.0) * (alpha - 2.0))
         )
-        out["k2"] = np.concatenate((k2, _k2_series(alpha, tail)))
+        out["k2"] = np.concatenate((k2, -_em_tail(1.0 + alpha, tail, 3)))
     return tuple(out[name] for name in names)
 
 

@@ -116,6 +116,32 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
+#: ``B_2j / (2j)!`` for ``j = 1..6``, the Euler-Maclaurin weights.
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
+
+
+def _em_tail(x, n, k: int):
+    """``sum_{j=1..6} B_2j/(2j)! binom(2j-1, k-1) (x)_(2j-k) n^-(x+2j-k)``, ``x``, ``n`` broadcast.
+
+    ``(x)_q`` is the rising factorial.  With ``k = 1`` this is the large-``n``
+    Hurwitz expansion (NIST DLMF §25.11), ``zeta(x, n) = n^(1-x)/(x-1) +
+    n^-x/2 + _em_tail(x, n, 1)``.  As ``(x+1)_q - (x)_q = q (x+1)_(q-1)``,
+    with ``T = _em_tail(., n, 1)`` the case ``k = 2`` is ``n T(x) - T(x-1)``
+    and ``k = 3`` is ``n^2 T(x)/2 - n T(x-1) + T(x-2)/2``: the series of
+    ``-K_1`` and ``-K_2`` at ``x = 1 + alpha``.  Six terms hold a few ulps
+    for ``n > 50`` and lose digits below.
+    """
+    coeffs, rising = [], 1.0  # rising = (x)_(2j-k)
+    for j, weight in enumerate(_EM_WEIGHTS, start=1):
+        for q in range(max(2 * j - k - 2, 0), 2 * j - k):
+            rising = rising * (x + q)
+        coeffs.append(weight * math.comb(2 * j - 1, k - 1) * rising)
+    acc, r = coeffs.pop(), n**-2.0
+    for c in reversed(coeffs):  # Horner's rule in n^-2
+        acc = acc * r + c
+    return acc * n ** -(x + 2 - k)
+
+
 _BORWEIN_N = 36
 
 
@@ -188,26 +214,27 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
 
     Computed from the defining power series ``sum_k z^k / Gamma(k + beta)``
     with a multiplicative term recurrence.  Truncation stops once the next
-    term falls below ``1e-18`` of the largest partial sum seen.  Measured
-    against mpmath (40 digits, beta in [1.1, 2]): on the positive real axis
-    the result is within 3.1e-15 relative up to z = 50.  On the negative
-    real axis the alternating series cancels, and the worst relative error
-    grows with ``|z|``: 3.1e-14 up to 5, 6.7e-12 up to 10, 9.2e-7 up to 20
-    and 6.1e-3 up to 30.  Past about ``|z| = 35`` the value is wrong: at
-    beta = 1.5, z = -50 it is -10982.3 where the function is 0.0114.
+    term falls below ``1e-18`` of the largest partial sum seen.  On the
+    negative real axis, where that series cancels, it is
+    ``scipy.special.hyp1f1(1, beta, z) / Gamma(beta)`` instead.  Worst
+    relative error against mpmath (40 digits, nine betas in [0.3, 2]): 2.6e-15
+    on [0, 50] and 1.1e-13 on [-50, -0.25].  Non-real ``z`` stays on the
+    series and cancels too: on ``|z| = 5, 10, 20`` the error is 5.5e-15,
+    5.8e-13, 1.3e-8 with ``Re z >= 0`` and 4.3e-13, 9.1e-9, 2.9 (no digits
+    left) with ``Re z < 0``.
 
     An array of arguments runs through one loop over terms, all points
     still summing at once; each point stops at its own truncation point.
-    Real arguments do the float operations of the Python-complex series
-    and match it bit for bit; complex ones use numpy's complex arithmetic
-    and match it to rounding.
+    Real arguments on the series do the float operations of the
+    Python-complex series and match it bit for bit; complex ones use
+    numpy's complex arithmetic and match it to rounding.
 
     Args:
         beta: second parameter, must be positive.
         z: complex argument with ``|z| <= 50``, or an array of them.
 
     Returns:
-        The (complex) series value, a complex array for array ``z``; take
+        The (complex) value, a complex array for array ``z``; take
         ``.real`` for real arguments.
 
     Raises:
@@ -221,11 +248,17 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
         raise ValueError(
             f"mittag_leffler_1 restricted to |z| <= 50, got |z|={float(mag[mag > 50.0][0])!r}"
         )
+    out = np.empty(z.size, dtype=complex)
+    negative = (z.imag == 0.0) & (z.real < 0.0)
+    if negative.any():
+        from scipy.special import hyp1f1  # here: no caller in the package needs it
+
+        out[negative] = hyp1f1(1.0, beta, z.real[negative]) / gamma(beta)
     # Term k is term k-1 times z / (k - 1 + beta).  Real arguments stay
     # real: with a zero imaginary part Python's complex operations round
     # exactly as the real ones, and abs() is exact.
-    out = np.empty(z.size, dtype=complex)
-    todo = np.arange(z.size)
+    todo = np.flatnonzero(~negative)
+    z = z[todo]
     term = np.full(z.size, 1.0 / gamma(beta), dtype=z.dtype)
     total = term.copy()
     peak = np.abs(total)

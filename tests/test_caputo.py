@@ -79,6 +79,26 @@ def test_zeta_shift_values():
     assert f.derivatives[3](0.5) == pytest.approx(3.1615875358483434, rel=1e-12)
     vec = f.eval(np.array([0.0, 1.0]))
     assert vec == pytest.approx([math.pi**2 / 6.0, 1.2020569031595942])
+    # zeta(t + 2) over the catalog's range; measured within 4.5e-16.
+    ts, expected = zip(*ZETA_SHIFT_POINTS)
+    assert f.eval(np.array(ts)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    for t, value in ZETA_SHIFT_POINTS:
+        assert f.eval(t) == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
+# (t, zeta(t + 2)), mpmath dps=30
+ZETA_SHIFT_POINTS = [
+    (0.0, 1.6449340668482264),
+    (0.25, 1.4602118661586485),
+    (0.5, 1.341487257250917),
+    (0.8, 1.2470314223172532),
+    (1.1, 1.1833836521119063),
+    (1.5, 1.1267338673170566),
+    (1.9, 1.0895521846703213),
+    (2.25, 1.0669541907112146),
+    (2.6, 1.0505173825665735),
+    (3.0, 1.03692775514337),
+]
 
 
 def test_exact_power():

@@ -778,6 +778,17 @@ class TestStability:
         verdict = stability_check(problem, SchemeId.L1, 50)
         assert verdict is StabilityVerdict.OutsideTheory
 
+    @pytest.mark.parametrize("damping", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [-7, 0, 1])
+    def test_rejects_fewer_than_two_steps(self, damping, n):
+        """Every verdict needs the n that solve accepts, whatever the damping."""
+        problem = equation_catalog(0.5, D=damping)[3]
+        with pytest.raises(ValueError) as checked:
+            stability_check(problem, SchemeId.L1, n)
+        with pytest.raises(ValueError) as solved:
+            solve(problem, SchemeId.L1, n)
+        assert str(checked.value) == str(solved.value)
+
     def test_advisory_only(self):
         # An OutsideTheory verdict must not prevent the solve itself.
         problem = equation_catalog(0.5, D=-7.0)[3]

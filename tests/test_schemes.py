@@ -368,7 +368,12 @@ def test_harmonic_deficit_recurrence(s, n):
 
 # mpmath dps=40; n = 50 exercises the summed path, n = 51 the asymptotic one.
 # The ids keep the names of the scalar functions these cases were written for.
-COEFFICIENTS = {"midpoint_tail_deficit": "w", "k1_coefficient": "k1", "k2_coefficient": "k2"}
+COEFFICIENTS = {
+    "s1": "s1",
+    "midpoint_tail_deficit": "w",
+    "k1_coefficient": "k1",
+    "k2_coefficient": "k2",
+}
 DEFICIT_CASES = [
     ("midpoint_tail_deficit", 0.5, 50, -0.07082852630301605),
     ("midpoint_tail_deficit", 0.5, 51, -0.07012840342045604),
@@ -385,17 +390,64 @@ DEFICIT_CASES = [
     ("k2_coefficient", 0.5, 100, 6.249566028606808e-08),
     ("k2_coefficient", 0.5, 2560, 1.8848641664275212e-11),
     ("k2_coefficient", 0.4, 64, 2.69784009941429e-07),
+    # mpmath dps=60, the series path from m = 51 to 2**20.
+    ("s1", 0.1, 51, -6.75569573919749),
+    ("s1", 0.1, 4096, -4.352805953048514),
+    ("s1", 0.1, 40960, -3.4575186815237937),
+    ("s1", 0.1, 2**20, -2.50000011920931),
+    ("s1", 0.5, 51, -0.281435569567676),
+    ("s1", 0.5, 4096, -0.031251907465048134),
+    ("s1", 0.5, 40960, -0.00988217800405404),
+    ("s1", 0.5, 2**20, -0.0019531254656613983),
+    ("s1", 0.9, 51, -0.03256740223845091),
+    ("s1", 0.9, 4096, -0.0006232772159961679),
+    ("s1", 0.9, 40960, -7.845819429929206e-05),
+    ("s1", 0.9, 2**20, -4.238554336351063e-06),
+    ("midpoint_tail_deficit", 0.1, 51, -0.33756303873685406),
+    ("midpoint_tail_deficit", 0.1, 4096, -0.21763852639385656),
+    ("midpoint_tail_deficit", 0.1, 40960, -0.17287579338862158),
+    ("midpoint_tail_deficit", 0.1, 2**20, -0.12500000198682149),
+    ("midpoint_tail_deficit", 0.5, 4096, -0.007812658945718809),
+    ("midpoint_tail_deficit", 0.5, 40960, -0.0024705344483115224),
+    ("midpoint_tail_deficit", 0.5, 2**20, -0.0004882812888051072),
+    ("midpoint_tail_deficit", 0.9, 51, -0.014569084521576863),
+    ("midpoint_tail_deficit", 0.9, 4096, -0.0002804542044890023),
+    ("midpoint_tail_deficit", 0.9, 40960, -3.5305928844283614e-05),
+    ("midpoint_tail_deficit", 0.9, 2**20, -1.90734890566091e-06),
+    ("k1_coefficient", 0.1, 51, -0.0011027378420480488),
+    ("k1_coefficient", 0.1, 4096, -8.855698214751804e-06),
+    ("k1_coefficient", 0.1, 40960, -7.034331178117205e-07),
+    ("k1_coefficient", 0.1, 2**20, -1.986821492512812e-08),
+    ("k1_coefficient", 0.5, 4096, -3.178914352493698e-07),
+    ("k1_coefficient", 0.5, 40960, -1.005260995170265e-08),
+    ("k1_coefficient", 0.5, 2**20, -7.761021455127664e-11),
+    ("k1_coefficient", 0.9, 51, -4.746674262044994e-05),
+    ("k1_coefficient", 0.9, 4096, -1.1411292713226561e-08),
+    ("k1_coefficient", 0.9, 40960, -1.4365966611648153e-10),
+    ("k1_coefficient", 0.9, 2**20, -3.0316490059090003e-13),
+    ("k2_coefficient", 0.1, 51, 1.1890437447229863e-06),
+    ("k2_coefficient", 0.1, 4096, 1.18911960489498e-10),
+    ("k2_coefficient", 0.1, 40960, 9.445513054295311e-13),
+    ("k2_coefficient", 0.1, 2**20, 1.0421293457809906e-15),
+    ("k2_coefficient", 0.5, 4096, 5.820765850412943e-12),
+    ("k2_coefficient", 0.5, 40960, 1.840687856811242e-14),
+    ("k2_coefficient", 0.5, 2**20, 5.551115123122276e-18),
+    ("k2_coefficient", 0.9, 51, 8.839730663233236e-08),
+    ("k2_coefficient", 0.9, 4096, 2.646662030170466e-13),
+    ("k2_coefficient", 0.9, 40960, 3.33195026269654e-16),
+    ("k2_coefficient", 0.9, 2**20, 2.7466455036277017e-20),
 ]
 
 
 # The n = 50 closed forms of K_1 and K_2 cancel; against the values above
-# they are off by 1.8e-11 and 9.3e-7 relative.  Every other case holds 1e-11.
+# they are off by 1.8e-11 and 9.3e-7 relative.  The n = 50 W holds 1e-11,
+# and every series case (n > 50) 1e-14.
 CLOSED_FORM_REL = {("k1_coefficient", 50): 5e-11, ("k2_coefficient", 50): 2e-6}
 
 
 @pytest.mark.parametrize("fn,a,n,expected", DEFICIT_CASES)
 def test_deficit_reference_values(fn, a, n, expected):
-    rel = CLOSED_FORM_REL.get((fn, n), 1e-11)
+    rel = CLOSED_FORM_REL.get((fn, n), 1e-11 if n <= 50 else 1e-14)
     (value,) = _tail_coefficients(a, np.array([n]), (COEFFICIENTS[fn],))
     assert value[0] == pytest.approx(expected, rel=rel, abs=0.0)
 
