@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .specfun import _elementwise, _em_tail, _exact_sum, _libm, alpha_constants, mittag_leffler_1
 from .schemes import WeightVector
@@ -282,6 +281,8 @@ def caputo_quadrature(
 
     def integrand(u: float) -> float:
         return fprime(x - u**power)
+
+    from scipy.integrate import quad  # here: only this reference needs scipy's quadrature
 
     upper = x ** (1.0 - a)
     result = quad(integrand, 0.0, upper, epsabs=tol, epsrel=tol, limit=400, full_output=1)

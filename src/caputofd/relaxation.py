@@ -35,7 +35,9 @@ from the blocked online convolution of Hairer, Lubich & Schlichte ("Fast
 numerical solution of nonlinear Volterra convolution equations", SIAM J. Sci.
 Stat. Comput. 6, 1985): one FFT product adds a finished block's far field to
 every later step of its sibling block, with the weights transformed once per
-block length.  The recurrence stays causal, so every damping, divergent runs
+block length.  The FFTs are ``numpy.fft``'s, the same pocketfft code as
+``scipy.fft`` and so the same bits; of scipy, only ``scipy.linalg`` loads with
+this module.  The recurrence stays causal, so every damping, divergent runs
 included, costs O(_NEAR_FIELD^2 + n * _LEAF_NEAR + n log^2 n).
 """
 
@@ -47,7 +49,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dtrtrs
@@ -214,8 +216,26 @@ def _far_field_splits(n: int, width: int, align: int) -> dict[int, tuple[int, in
     return splits
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest ``2^a * 3^b * 5^c`` at least ``n >= 1``.
+
+    The lengths pocketfft's real transforms factor fastest, the same as
+    ``scipy.fft.next_fast_len(n, real=True)``.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _add_far_field(
-    far: np.ndarray, u: np.ndarray, kernel: np.ndarray, spectra: dict[int, np.ndarray],
+    far: np.ndarray, u: np.ndarray, kernel: np.ndarray,
+    spectra: dict[int, tuple[int, np.ndarray]],
     lo: int, mid: int, hi: int, width: int,
 ) -> None:
     """Add ``sum_{j in [lo, mid)} kernel[m - j] * u[j]`` to ``far[m]`` for ``m in [mid, hi)``.
@@ -224,13 +244,17 @@ def _add_far_field(
     receive anything.  The linear product of ``u[lo:mid]`` and ``kernel[:size]``,
     ``size = hi - lo``, ends at index ``size + mid - lo - 2``, so a cyclic one
     of length at least ``size`` wraps only onto indices below ``mid - lo`` and
-    leaves ``[mid, hi)`` exact.  ``spectra`` keeps the kernel's transform per size.
+    leaves ``[mid, hi)`` exact.  ``spectra`` keeps each size's transform length
+    and kernel transform.  The transforms are ``numpy.fft``'s: since numpy 2.0
+    that is the pocketfft C++ code ``scipy.fft`` also wraps, so both give the
+    same bits, and numpy's loads no scipy module.
     """
     size = hi - lo
-    nfft = next_fast_len(size, real=True)
     if size not in spectra:
-        spectra[size] = rfft(kernel[:size], nfft)
-    spec = rfft(u[lo:mid], nfft) * spectra[size]
+        nfft = _next_fast_len(size)
+        spectra[size] = nfft, rfft(kernel[:size], nfft)
+    nfft, kernel_spec = spectra[size]
+    spec = rfft(u[lo:mid], nfft) * kernel_spec
     start = max(mid, lo + width)
     far[start:hi] += irfft(spec, nfft)[start - lo : size]
 
@@ -424,7 +448,7 @@ def solve(
             tri = toeplitz(np.concatenate(([gen_lam[0] + d_ha], -gen_lam[1:leaf])), np.zeros(leaf))
             # A node adds its far lags before the first leaf at or past its split
             # point, in split order (nodes[-1] first), with one transform per length.
-            spectra: dict[int, np.ndarray] = {}
+            spectra: dict[int, tuple[int, np.ndarray]] = {}
             for lo in range(first_leaf, n + 1, leaf):
                 while nodes and nodes[-1][0] <= lo:
                     mid, left, right = nodes.pop()

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,9 +141,16 @@ def test_exact_cos():
 
 @pytest.mark.parametrize("a,x", [(0.25, 0.5), (0.5, 1.0), (0.75, 1.5), (0.4, 2.0)])
 def test_cos_series_matches_complex_form(a, x):
-    """The real series equals Re(2*pi*i*x^(1-a)*E_{1,2-a}(2*pi*i*x))."""
+    """The real series equals Re(2*pi*i*x^(1-a)*E_{1,2-a}(2*pi*i*x)).
+
+    E comes from mpmath at 40 digits: at x = 2 the partial sums of
+    mittag_leffler_1's series peak at 2.9e4 times the value, past its cap.
+    """
+    mpmath = pytest.importorskip("mpmath")
     lam = 2.0j * math.pi
-    complex_form = (lam * x ** (1.0 - a) * mittag_leffler_1(2.0 - a, lam * x)).real
+    with mpmath.workdps(40):
+        ml = complex(mpmath.hyp1f1(1, 2.0 - a, lam * x) / mpmath.gamma(2.0 - a))
+    complex_form = (lam * x ** (1.0 - a) * ml).real
     assert exact_caputo_cos2pix(a, x) == pytest.approx(complex_form, abs=1e-10)
 
 
@@ -424,6 +435,28 @@ def test_quadrature_trivial_cases():
 def test_quadrature_matches_exp():
     got = caputo_quadrature(math.exp, 0.5, 1.0, 1e-12)
     assert got == pytest.approx(exact_caputo_exp(0.5, 1.0), abs=1e-11)
+
+
+def test_import_loads_no_quadrature_stack():
+    """``import caputofd`` leaves scipy's quadrature, special functions and FFT unloaded.
+
+    ``caputo_quadrature`` imports ``scipy.integrate`` on its first call and
+    still gives ``E_{1,3/2}(1)``, the Caputo derivative of order 1/2 of
+    ``e^x`` at 1 (mpmath, 40 digits).
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import math, sys\n"
+        "import caputofd\n"
+        "print([m for m in ('scipy.integrate', 'scipy.special', 'scipy.fft') if m in sys.modules])\n"
+        "print(repr(caputofd.caputo_quadrature(math.exp, 0.5, 1.0, 1e-12)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    assert float(out[1]) == pytest.approx(2.290698252303238, rel=1e-12)
 
 
 def test_quadrature_validation():

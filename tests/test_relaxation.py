@@ -541,6 +541,18 @@ class TestSolve:
         assert np.all(cover[m - j >= width] == 1)
         assert np.all(cover[m < j] == 0)
 
+    def test_next_fast_len_is_scipys(self):
+        # The far field's transform lengths: the smallest 5-smooth number at
+        # least n, as scipy.fft.next_fast_len(n, real=True) gives it.
+        known = {1: 1, 2: 2, 7: 8, 97: 100, 641: 648, 1000: 1000, 1281: 1296,
+                 4097: 4320, 12345: 12500, 40961: 41472, 65537: 65610, 2**20 + 1: 1049760}
+        assert {n: relaxation._next_fast_len(n) for n in known} == known
+        mismatched = [
+            n for n in range(1, 2**17 + 1)
+            if relaxation._next_fast_len(n) != next_fast_len(n, real=True)
+        ]
+        assert mismatched == []
+
     def test_no_far_field_below_the_first_leaf(self, monkeypatch):
         # The march sums every lag directly, so a far-field node wholly
         # below the first leaf would be an FFT nobody reads.

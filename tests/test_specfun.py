@@ -137,9 +137,15 @@ def test_mittag_leffler_beta_two(z):
     st.floats(min_value=-8.0, max_value=8.0),
 )
 def test_mittag_leffler_conjugate_symmetry(beta, re, im):
+    """Conjugate arguments give conjugate values, or both cancel past the cap and raise."""
     z = complex(re, im)
+    try:
+        right = mittag_leffler_1(beta, z).conjugate()
+    except NonConvergenceError:
+        with pytest.raises(NonConvergenceError):
+            mittag_leffler_1(beta, z.conjugate())
+        return
     left = mittag_leffler_1(beta, z.conjugate())
-    right = mittag_leffler_1(beta, z).conjugate()
     assert left == pytest.approx(right, rel=1e-12, abs=1e-290)
 
 
@@ -159,7 +165,10 @@ ML_GRID = np.linspace(-50.0, 50.0, 4097)
 
 
 def _scalar_series(beta, z):
-    """The term loop of mittag_leffler_1 for one argument, in Python complex."""
+    """The term loop of mittag_leffler_1 for one argument, in Python complex.
+
+    Returns the sum and the largest partial-sum magnitude.
+    """
     zc = complex(z)
     term = complex(1.0 / math.gamma(beta))
     total = term
@@ -169,7 +178,7 @@ def _scalar_series(beta, z):
         total += term
         peak = max(peak, abs(total))
         if abs(term) <= 1e-18 * max(peak, 1e-300):
-            return total
+            return total, peak
     raise AssertionError(f"reference series did not converge at z={z!r}")
 
 
@@ -183,7 +192,7 @@ def test_mittag_leffler_array_matches_scalar_series(beta):
     grid = ML_GRID[ML_GRID >= 0.0]
     got = mittag_leffler_1(beta, grid)
     assert got.shape == grid.shape and got.dtype == complex
-    assert np.array_equal(got, [_scalar_series(beta, z) for z in grid.tolist()])
+    assert np.array_equal(got, [_scalar_series(beta, z)[0] for z in grid.tolist()])
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9, 1.0, 1.1, 1.25, 1.5, 1.75, 2.0])
@@ -196,6 +205,33 @@ def test_mittag_leffler_negative_axis_against_mpmath(beta):
         exact = [float(mpmath.hyp1f1(1, beta, z) / mpmath.gamma(beta)) for z in zs.tolist()]
     assert np.all(got.imag == 0.0)
     assert got.real == pytest.approx(exact, rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_mittag_leffler_complex_circles_against_mpmath(beta):
+    """Off the real axis a value comes back within 5e-12, or the call raises.
+
+    It raises exactly where the partial sums peak above 1e4 times the true
+    value (mpmath, 40 digits); a 1% band around the cap may go either way.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    returned = raised = 0
+    for radius in (5.0, 10.0, 20.0, 40.0):
+        for k in range(72):
+            z = cmath.rect(radius, 2.0 * math.pi * (k + 0.5) / 72)
+            with mpmath.workdps(40):
+                exact = complex(mpmath.hyp1f1(1, beta, z) / mpmath.gamma(beta))
+            ratio = _scalar_series(beta, z)[1] / abs(exact)
+            try:
+                got = mittag_leffler_1(beta, z)
+            except NonConvergenceError:
+                assert ratio > 0.99e4, (z, ratio)
+                raised += 1
+                continue
+            assert ratio < 1.01e4, (z, ratio)
+            assert abs(got - exact) <= 5e-12 * abs(exact), (z, ratio)
+            returned += 1
+    assert returned and raised
 
 
 def test_mittag_leffler_array_matches_scalar_calls():
