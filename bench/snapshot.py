@@ -13,7 +13,10 @@ of each item:
   timing every repeat, with its peak RSS;
 * ``perfbench_<workload>``: ``perfbench/run.py --trace 0`` for every
   workload of ``BENCHMARK.json`` (seed ``SEED``, ``PERFBENCH_SECONDS`` of
-  measuring), its last line's metrics.
+  measuring), its last line's metrics;
+* ``perfbench_<workload>_trace``: the ``TRACED`` per-layer metrics of one
+  unrepeated ``perfbench/run.py --trace 1`` run of each workload, same
+  settings: where a pass's time goes, not how long it takes.
 
 Every process gets its own empty ``PYTHONPYCACHEPREFIX``, so no run reads
 bytecode another left behind (a warm ``src/caputofd/__pycache__`` alone
@@ -44,6 +47,15 @@ SRC = ROOT / "src"
 REPEATS = 5
 PERFBENCH_SECONDS = 6.0
 SEED = 1
+TRACED = (
+    "relaxation.forcing.share",
+    "specfun.mittag_leffler_1.calls",
+    "specfun.mittag_leffler_1.share",
+    "caputo.exact_caputo_cos2pix.calls",
+    "caputo.exact_caputo_cos2pix.share",
+    "caputo.caputo_quadrature.calls",
+    "caputo.caputo_quadrature.share",
+)
 
 THREAD_PINS = {
     var: "1"
@@ -142,14 +154,18 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     for workload in (w["name"] for w in spec["workloads"]):
         cmd = [py, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-               "--seconds", repr(PERFBENCH_SECONDS), "--trace", "0"]
-        lasts = repeated(cmd, lambda wall, out: json.loads(out.splitlines()[-1]))
+               "--seconds", repr(PERFBENCH_SECONDS), "--trace"]
+        lasts = repeated(cmd + ["0"], lambda wall, out: json.loads(out.splitlines()[-1]))
         entry = {"seed": SEED, "seconds": PERFBENCH_SECONDS,
                  "correct": all(last["correct"] for last in lasts)}
         for name, metric in lasts[0]["metrics"].items():
             values = [last["metrics"][name]["value"] for last in lasts]
             entry[name] = {"unit": metric["unit"], **summary(values)}
         items[f"perfbench_{workload}"] = entry
+        traced = json.loads(run(cmd + ["1"])[1].splitlines()[-1])
+        items[f"perfbench_{workload}_trace"] = {
+            "seed": SEED, "seconds": PERFBENCH_SECONDS, "correct": traced["correct"],
+            **{name: traced["metrics"][name] for name in TRACED}}
 
     path = ROOT / f"BENCH_{args.label}.json"
     report = {"env": environment(args.label), "repeats": REPEATS, "items": items}

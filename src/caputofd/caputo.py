@@ -19,14 +19,17 @@ rounded.  Stencil sums and the fourth-order formula give ``math.fsum``'s value
 bit for bit through :func:`specfun._exact_sum`, a few numpy passes of Rump,
 Ogita and Oishi's error-free extraction (SIAM J. Sci. Comput. 31, 2008) that
 falls back to ``math.fsum`` itself for empty, all-zero, non-finite or huge
-input.  The shifted-zeta series, a short scalar generator, calls ``math.fsum``
-directly.  The cos series adds its alternating terms on all points at once with
-a vectorized Neumaier compensation.  Ordinary numpy pairwise sums are used only
-for same-sign series where rounding is benign.
+input.  The shifted-zeta derivatives, short scalar series, call ``math.fsum``
+directly.  The cos series adds its alternating terms on all points at once
+with a vectorized TwoSum, the same error terms as Neumaier's compensation.
+Ordinary numpy pairwise sums are used only for same-sign series where rounding
+is benign.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -168,8 +171,10 @@ def exact_caputo_cos2pix(alpha: float, x):
     ``x`` is a point or an array of points; an array runs through one loop
     over terms, and each point stops at its own truncation point.
 
-    The terms are added with Neumaier's compensation, so the error is that
-    of the terms themselves, which grow with x.  Against mpmath (2000 points
+    The terms are added with Knuth's branch-free TwoSum, whose exact
+    rounding errors are Neumaier's (Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 26, 2005), so the error is that of the terms themselves,
+    which grow with x.  Against mpmath (2000 points
     per interval, alpha = 0.1, 0.2, ..., 0.9) the worst absolute error is
     6.5e-14 on (0, 1] and 2.7e-11 on [1, 2].
     """
@@ -184,21 +189,24 @@ def exact_caputo_cos2pix(alpha: float, x):
     todo = np.flatnonzero(x)
     ratio = neg_4pi2 * x[todo] ** 2
     term = neg_4pi2 * x[todo] ** (2.0 - alpha) / math.gamma(3.0 - alpha)
-    total = term
+    total = term.copy()
     comp = np.zeros(todo.size)
     scale = np.abs(term)
     for k in range(1, 300):
         if not todo.size:
             break
-        term = term * (ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha)))
+        term *= ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
         big = total + term
-        comp += np.where(np.abs(total) >= np.abs(term), (total - big) + term, (term - big) + total)
+        low = big - total
+        comp += (total - (big - low)) + (term - low)  # TwoSum: exactly total + term - big
         total = big
-        scale = np.maximum(scale, np.abs(term))
-        done = np.abs(term) <= 1e-16 * scale
-        if done.any():
-            out[todo[done]] = (total + comp)[done]
-            live = ~done
+        mag = np.abs(term)
+        np.maximum(scale, mag, out=scale)
+        done = mag <= 1e-16 * scale
+        cut = np.count_nonzero(done)
+        if cut:  # on an ascending grid the finished points are a prefix: slice them off
+            fin, live = (done, ~done) if done[cut:].any() else (slice(cut), slice(cut, None))
+            out[todo[fin]] = total[fin] + comp[fin]
             todo, ratio, term, total, comp, scale = (
                 todo[live], ratio[live], term[live], total[live], comp[live], scale[live]
             )
@@ -308,6 +316,9 @@ def caputo_quadrature(
 # P_{j+1} = P_j' - (s+j) P_j, not a rising factorial times a power.
 _ZS_N = 256
 _ZS_KS = np.arange(1.0, _ZS_N)
+#: ``k`` and ``ln(k)**m`` at index ``m = 0..4`` for ``k = 2 .. _ZS_N - 1``.
+_ZS_FLOATS = _ZS_KS[1:].tolist()
+_ZS_LOGS = [[math.log(k) ** m for k in _ZS_FLOATS] for m in range(5)]
 
 
 def _zeta_shift_eval(t):
@@ -319,9 +330,11 @@ def _zeta_shift_eval(t):
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
+# The m-th derivative of zeta(t + 2), m = 1..4, is within 1.5e-15 relative of
+# mpmath on t in [0, 3] (1.09e-15 measured at 601 points, 30 digits).
 def _zeta_shift_derivative(t: float, m: int) -> float:
     s = float(t) + 2.0
-    direct = math.fsum(math.log(k) ** m * k**-s for k in range(2, _ZS_N))
+    direct = math.fsum(map(operator.mul, _ZS_LOGS[m], map(pow, _ZS_FLOATS, repeat(-s))))
     polys = [[0.0] * m + [1.0]]
     for j in range(5):
         cur = polys[-1]

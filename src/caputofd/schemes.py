@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import AlphaConstants, _em_tail, _exact_sum, alpha_constants
+from .specfun import AlphaConstants, _em_tail, _exact_sum, _libm, alpha_constants
 
 #: Largest n for which the deficit closed forms are evaluated directly.
 _ASYM_N = 50
@@ -153,7 +153,7 @@ def _deficit_table(s: float, m_max: int, zeta_s: float) -> np.ndarray:
     accumulator carries them.  Indices 0 and 1 hold the empty sum.
     ``zeta_s`` is ``zeta(s)``, read from :func:`alpha_constants` by the caller.
     """
-    x = np.array([0.0, 0.0] + [float(k) ** -s for k in range(1, m_max)])
+    x = np.concatenate(([0.0, 0.0], _libm(pow, np.arange(1.0, m_max), -s)))
     total = np.cumsum(x)
     prev = np.concatenate(([0.0], total[:-1]))
     err = np.where(np.abs(prev) >= np.abs(x), (prev - total) + x, (x - total) + prev)

@@ -217,22 +217,25 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
     term falls below ``1e-18`` of the largest partial sum seen.  On the
     negative real axis, where that series cancels, it is
     ``scipy.special.hyp1f1(1, beta, z) / Gamma(beta)`` instead.  Worst
-    relative error against mpmath (40 digits, nine betas in [0.3, 2]): 2.6e-15
-    on [0, 50] and 1.1e-13 on [-50, -0.25].  Non-real ``z`` stays on the
-    series, which cancels too, with a relative error of up to about 4e-16
+    relative error against mpmath (nine betas in [0.3, 2]): 3.5e-15 on
+    [0, 50] (32002 points per beta) and 1.1e-13 on [-50, -0.25].  Non-real
+    ``z`` stays on the series, which cancels too, with a relative error of up to about 4e-16
     times the ratio of the largest partial sum to the value.  A point whose
     ratio exceeds 1e4 raises rather than return fewer than about 11 digits:
     most of ``Re z < 0`` past ``|z| = 7`` (``|z| = 12`` at beta = 2) and,
     past ``|z| = 15``, ``Re z >= 0`` near the imaginary axis.  Every value
     returned is within 5e-12 (2.7e-12 measured on ``|z| = 5, 10, 20, 40,
-    50``, 72 points each, nine betas in [0.3, 2]).  Real arguments on the
-    series never cancel.
+    50``, 72 points each, nine betas in [0.3, 2]).
 
-    An array of arguments runs through one loop over terms, all points
-    still summing at once; each point stops at its own truncation point.
-    Real arguments on the series do the float operations of the
-    Python-complex series and match it bit for bit; complex ones use
-    numpy's complex arithmetic and match it to rounding.
+    Paths: ``z < 0`` on the real axis goes to ``hyp1f1``, real ``z >= 0``
+    to a float loop over terms, and complex ``z`` (a zero imaginary part
+    too) to a complex loop, where each point leaves at its own truncation
+    point.  In the float loop every point runs to the last one's stop, bit
+    for bit: its terms are at least 0, so its peak is its total, and it
+    cannot stop while its terms grow (the total is then at most ``k + 1 <=
+    501`` terms); each later term is at most 1e-18 of the total, below half
+    an ulp of it, and leaves it unchanged.  The float loop matches the
+    Python-complex series bit for bit, the complex loop to rounding.
 
     Args:
         beta: second parameter, must be positive.
@@ -243,16 +246,16 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
         ``.real`` for real arguments.
 
     Raises:
-        ValueError: if ``beta <= 0`` or any ``|z| > 50``.
+        ValueError: if ``beta <= 0``, or any ``|z| > 50`` or NaN.
         NonConvergenceError: if the term cap is hit before the tolerance,
             or if any point's partial sums peak above 1e4 times its value.
     """
     if beta <= 0.0:
         raise ValueError(f"mittag_leffler_1 needs beta > 0, got {beta!r}")
-    mag = np.abs(z)
-    if (mag > 50.0).any():
+    outside = ~(np.abs(z) <= 50.0)  # NaN is outside too
+    if outside.any():
         raise ValueError(
-            f"mittag_leffler_1 restricted to |z| <= 50, got |z|={float(mag[mag > 50.0][0])!r}"
+            f"mittag_leffler_1 restricted to |z| <= 50, got |z|={float(abs(z[outside][0]))!r}"
         )
     out = np.empty(z.size, dtype=complex)
     negative = (z.imag == 0.0) & (z.real < 0.0)
@@ -260,15 +263,29 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
         from scipy.special import hyp1f1  # here: no caller in the package needs it
 
         out[negative] = hyp1f1(1.0, beta, z.real[negative]) / gamma(beta)
-    # Term k is term k-1 times z / (k - 1 + beta).  Real arguments stay
-    # real: with a zero imaginary part Python's complex operations round
-    # exactly as the real ones, and abs() is exact.
-    todo = np.flatnonzero(~negative)
+    # Term k is term k-1 times z / (k - 1 + beta).  For real z >= 0 every
+    # point runs to the last one's stop: see the docstring.
+    real = ~negative & np.isrealobj(z)
+    x = z.real[real]
+    term = np.full(x.size, 1.0 / gamma(beta))
+    total = term.copy()
+    for d in np.arange(max_terms) + beta:
+        term *= x / d
+        total += term
+        if (term <= 1e-18 * total).all():
+            break
+    live = ~(term <= 1e-18 * total)
+    if live.any():
+        raise _not_converged(beta, x[live], max_terms)
+    out[real] = total
+    todo = np.flatnonzero(~(real | negative))
     z = z[todo]
-    term = np.full(z.size, 1.0 / gamma(beta), dtype=z.dtype)
+    term = np.full(z.size, 1.0 / gamma(beta), dtype=complex)
     total = term.copy()
     peak = np.abs(total)
     for d in np.arange(max_terms) + beta:
+        if not todo.size:
+            return out
         term = term * (z / d)
         total = total + term
         peak = np.fmax(peak, np.abs(total))
@@ -285,10 +302,14 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
             out[todo[done]] = finished
             live = ~done
             todo, z, term, total, peak = todo[live], z[live], term[live], total[live], peak[live]
-        if not todo.size:
-            return out
-    raise NonConvergenceError(
-        f"mittag_leffler_1(beta={beta!r}, z={z[0].item()!r}) "
+    if not todo.size:
+        return out
+    raise _not_converged(beta, z, max_terms)
+
+
+def _not_converged(beta: float, live: np.ndarray, max_terms: int) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"mittag_leffler_1(beta={beta!r}, z={live[0].item()!r}) "
         f"did not converge in {max_terms} terms"
     )
 

@@ -105,6 +105,18 @@ ZETA_SHIFT_POINTS = [
 ]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_zeta_shift_derivatives_against_mpmath(m):
+    """The m-th derivative of zeta(t + 2) on [0, 3] is within the bound
+    stated above ``caputo._zeta_shift_derivative``."""
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.linspace(0.0, 3.0, 61).tolist()
+    with mpmath.workdps(30):
+        exact = [float(mpmath.zeta(mpmath.mpf(t) + 2, 1, m)) for t in ts]
+    got = [caputo._zeta_shift_derivative(t, m) for t in ts]
+    assert got == pytest.approx(exact, rel=1.5e-15, abs=0.0)
+
+
 def test_exact_power():
     assert exact_caputo_power(2.0, 0.5, 1.0) == pytest.approx(
         1.5045055561273502, rel=1e-13
@@ -248,7 +260,14 @@ def test_cos_series_against_mpmath():
 
 @pytest.mark.parametrize(
     "name,bad",
-    [("power1", -0.25), ("exp", -0.25), ("cos2pix", -0.25), ("cos2pix", 2.25)],
+    [
+        ("power1", -0.25),
+        ("exp", -0.25),
+        ("exp", math.nan),
+        ("cos2pix", -0.25),
+        ("cos2pix", 2.25),
+        ("cos2pix", math.nan),
+    ],
 )
 def test_exact_derivative_array_validation(name, bad):
     """One point out of the domain raises the scalar call's error."""
