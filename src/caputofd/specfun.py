@@ -219,8 +219,9 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
     ``scipy.special.hyp1f1(1, beta, z) / Gamma(beta)`` instead.  Worst
     relative error against mpmath (nine betas in [0.3, 2]): 3.5e-15 on
     [0, 50] (32002 points per beta) and 1.1e-13 on [-50, -0.25].  Non-real
-    ``z`` stays on the series, which cancels too, with a relative error of up to about 4e-16
-    times the ratio of the largest partial sum to the value.  A point whose
+    ``z`` stays on the series, which cancels too, with a relative error of
+    up to about 4e-16 times the ratio of the largest partial sum to the
+    value.  A point whose
     ratio exceeds 1e4 raises rather than return fewer than about 11 digits:
     most of ``Re z < 0`` past ``|z| = 7`` (``|z| = 12`` at beta = 2) and,
     past ``|z| = 15``, ``Re z >= 0`` near the imaginary axis.  Every value
