@@ -185,16 +185,12 @@ def exact_caputo_cos2pix(alpha: float, x):
             f"series evaluation restricted to [0, 2], got x={float(x[outside][0])!r}"
         )
     neg_4pi2 = -4.0 * math.pi**2
-    out = np.zeros(x.size)
-    todo = np.flatnonzero(x)
-    ratio = neg_4pi2 * x[todo] ** 2
-    term = neg_4pi2 * x[todo] ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+    ratio = neg_4pi2 * x**2
+    term = neg_4pi2 * x ** (2.0 - alpha) / math.gamma(3.0 - alpha)
     total = term.copy()
-    comp = np.zeros(todo.size)
+    comp = np.zeros(x.size)
     scale = np.abs(term)
     for k in range(1, 300):
-        if not todo.size:
-            break
         term *= ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
         big = total + term
         low = big - total
@@ -203,15 +199,10 @@ def exact_caputo_cos2pix(alpha: float, x):
         mag = np.abs(term)
         np.maximum(scale, mag, out=scale)
         done = mag <= 1e-16 * scale
-        cut = np.count_nonzero(done)
-        if cut:  # on an ascending grid the finished points are a prefix: slice them off
-            fin, live = (done, ~done) if done[cut:].any() else (slice(cut), slice(cut, None))
-            out[todo[fin]] = total[fin] + comp[fin]
-            todo, ratio, term, total, comp, scale = (
-                todo[live], ratio[live], term[live], total[live], comp[live], scale[live]
-            )
-    out[todo] = total + comp
-    return out
+        if done.all():
+            break
+        ratio[done] = 0.0  # a finished point's later terms are exact zeros
+    return total + comp
 
 
 def apply_stencil(wv: WeightVector, path: SampledPath) -> float:

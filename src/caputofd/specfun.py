@@ -41,9 +41,10 @@ def _elementwise(fn):
     parameter (the points), take any scalar or array there.
 
     The points reach ``fn`` flattened to 1-D (float, or complex when
-    complex); the result comes back in the argument's shape, and a scalar
-    argument gets a Python scalar back.  Arguments bind by name as in a
-    plain call.
+    complex) and contiguous, since numpy's ``power`` and ``exp`` may round
+    a strided array differently from a contiguous one; the result comes
+    back in the argument's shape, and a scalar argument gets a Python
+    scalar back.  Arguments bind by name as in a plain call.
     """
     sig = inspect.signature(fn)
     point = [
@@ -55,7 +56,7 @@ def _elementwise(fn):
     def wrapper(*args, **kwargs):
         bound = sig.bind(*args, **kwargs)
         arr = np.asarray(bound.arguments[point])
-        arr = arr.astype(np.result_type(arr, np.float64), copy=False)
+        arr = arr.astype(np.result_type(arr, np.float64), order="C", copy=False)
         bound.arguments[point] = arr.reshape(-1)
         out = np.asarray(fn(*bound.args, **bound.kwargs)).reshape(arr.shape)
         return out.item() if out.ndim == 0 else out

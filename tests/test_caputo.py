@@ -223,13 +223,15 @@ def _scalar_cos_series(alpha, x, power):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_cos_series_array_matches_scalar_series(alpha):
-    """The whole domain [0, 2] gives the Python-float series bit for bit."""
+    """The whole domain [0, 2] gives the Python-float series bit for bit, in
+    ascending and in descending order."""
     grid = np.linspace(0.0, 2.0, 4097)
     powers = grid ** (2.0 - alpha)
     expected = [
         _scalar_cos_series(alpha, x, p) for x, p in zip(grid.tolist(), powers.tolist())
     ]
     assert np.array_equal(exact_caputo_cos2pix(alpha, grid), expected)
+    assert np.array_equal(exact_caputo_cos2pix(alpha, grid[::-1]), expected[::-1])
 
 
 #: Worst absolute error per interval of the series with its terms added
