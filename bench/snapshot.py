@@ -109,6 +109,7 @@ def repeated(cmd: list[str], parse) -> list:
 def environment(label: str) -> dict:
     import numpy
     import scipy
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     sha = None
     if (ROOT / ".git").exists():
@@ -127,6 +128,9 @@ def environment(label: str) -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
+        # The SIMD targets numpy dispatches to on this CPU: they decide the
+        # last bit of numpy's power and exp, and so the golden and solve hashes.
+        "numpy_cpu_dispatch": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
         "platform": platform.platform(),
         "nproc": len(os.sched_getaffinity(0)),
         "thread_pins": THREAD_PINS,

@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import AlphaConstants, _em_tail, _exact_sum, _libm, alpha_constants
+from .specfun import AlphaConstants, _em_tail, _exact_sum, alpha_constants
 
 #: Largest n for which the deficit closed forms are evaluated directly.
 _ASYM_N = 50
@@ -147,13 +147,14 @@ class WeightVector:
 def _deficit_table(s: float, m_max: int, zeta_s: float) -> np.ndarray:
     """Harmonic deficits ``S_m[s]`` at index ``m`` for every ``m <= m_max``.
 
-    The running Neumaier sum of ``k^(-s)``, vectorized: ``cumsum`` adds in
+    The running Neumaier sum of the powers ``k^(-s)``, taken with numpy's
+    ``power`` on the whole range at once, vectorized: ``cumsum`` adds in
     order, so ``total[m]`` is the plain running sum and ``err[m]`` the
     rounding error of its last addition, exactly as a scalar compensated
     accumulator carries them.  Indices 0 and 1 hold the empty sum.
     ``zeta_s`` is ``zeta(s)``, read from :func:`alpha_constants` by the caller.
     """
-    x = np.concatenate(([0.0, 0.0], _libm(pow, np.arange(1.0, m_max), -s)))
+    x = np.concatenate(([0.0, 0.0], np.arange(1.0, m_max) ** -s))
     total = np.cumsum(x)
     prev = np.concatenate(([0.0], total[:-1]))
     err = np.where(np.abs(prev) >= np.abs(x), (prev - total) + x, (x - total) + prev)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,17 +61,6 @@ def _elementwise(fn):
         return out.item() if out.ndim == 0 else out
 
     return wrapper
-
-
-def _libm(fn, xs: np.ndarray, *args) -> np.ndarray:
-    """``fn(x, *args)`` for each element of the 1-D ``xs``, as a float array.
-
-    The scalar function is mapped over the points, so powers, exponentials
-    and cosines go through the C library one element at a time and give the
-    scalar calls' values bit for bit; numpy's vectorized ``power``, ``exp``
-    and ``cos`` may differ from them in the last bit.
-    """
-    return np.fromiter(map(fn, xs.tolist(), *map(itertools.repeat, args)), float, xs.size)
 
 
 def _exact_sum(x: np.ndarray) -> float:

@@ -198,18 +198,16 @@ class TestCatalog:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_forcing_matches_python_float_formulas(self, alpha):
-        """Each forcing adds its solution's terms as the scalar formulas did:
-        libm exp and cos per point, and math.fsum over problem I's powers."""
+        """Each forcing adds its solution's terms as the formulas say: numpy's
+        exp and cos, and problem I's four powers added in order."""
         grid = np.linspace(0.0, 1.0, 4097)
-        points = grid.tolist()
-        exp_part = np.array([math.exp(x) for x in points])
-        powers = [exact_caputo_power(k, alpha, grid).tolist() for k in range(1, 5)]
+        exp_part = np.exp(grid)
+        p1, p2, p3, p4 = (exact_caputo_power(k, alpha, grid) for k in range(1, 5))
         poly = 1.0 + grid * (1.0 + grid * (1.0 + grid * (1.0 + grid)))
         expected = {
-            "I": np.array([math.fsum(terms) for terms in zip(*powers)]) + poly,
+            "I": (((p1 + p2) + p3) + p4) + poly,
             "II": exact_caputo_exp(alpha, grid) + exp_part,
-            "III": exact_caputo_cos2pix(alpha, grid)
-            + np.array([math.cos(2.0 * math.pi * x) for x in points]),
+            "III": exact_caputo_cos2pix(alpha, grid) + np.cos(2.0 * math.pi * grid),
             "exp": exact_caputo_exp(alpha, grid) - 2.5 * exp_part,
         }
         for problem in equation_catalog(alpha, D=-2.5):

@@ -453,11 +453,11 @@ def test_deficit_reference_values(fn, a, n, expected):
 
 
 def _sequential_deficits(s, m_max):
-    """S_m[s] for m = 0 .. m_max from a scalar Neumaier accumulator."""
+    """S_m[s] for m = 0 .. m_max from a scalar Neumaier accumulator over
+    numpy's powers k^(-s)."""
     total = comp = 0.0
     out = [-zeta(s), -zeta(s)]
-    for k in range(1, m_max):
-        x = float(k) ** -s
+    for x in (np.arange(1.0, m_max) ** -s).tolist():
         t = total + x
         if abs(total) >= abs(x):
             comp += (total - t) + x

@@ -19,7 +19,7 @@ from caputofd import (
     mittag_leffler_1,
     zeta,
 )
-from caputofd.specfun import _exact_sum, _libm
+from caputofd.specfun import _exact_sum
 
 # mpmath.zeta, dps=40
 ZETA_TABLE = {
@@ -319,20 +319,6 @@ def test_alpha_constants_cached():
 def test_alpha_constants_domain(alpha):
     with pytest.raises(ValueError):
         alpha_constants(alpha)
-
-
-@pytest.mark.parametrize(
-    "fn, args", [(pow, (0.7,)), (math.exp, ()), (math.cos, ())], ids=["pow", "exp", "cos"]
-)
-def test_libm_gives_the_scalar_calls(fn, args):
-    """Every point is the scalar call's value, bit for bit; numpy's vectorized
-    power and exp differ from libm in the last bit on some machines."""
-    xs = np.linspace(0.0, 2.0 * math.pi, 4097)
-    expected = np.array([fn(x, *args) for x in xs.tolist()])
-    got = _libm(fn, xs, *args)
-    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
-    empty = _libm(fn, np.empty(0), *args)
-    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def _fsum_outcome(fn, x):
