@@ -390,7 +390,8 @@ def solve(
     far = np.zeros(n + 1)
     far_kernel = np.zeros(n + 1)
 
-    gen_lam = -_interior_weights(scheme, alpha, n, c) / norm
+    interior = _interior_weights(scheme, alpha, n, c)
+    gen_lam = -interior / norm
     gen_lam[0] = -gen_lam[0]
     far_kernel[width:] = gen_lam[width:]
 
@@ -408,7 +409,8 @@ def solve(
     # so that no O(n) array of theirs meets the forcing's temporaries or the
     # leaves' FFTs, which set the peak memory of a long solve.  The marched
     # steps read S_m[1+alpha] from the running table, the leaves from a series.
-    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), march_end)]
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), interior, march_end)]
+    del interior
     # Step 2 reads its tail terms as stencil weights; a third delta lands
     # on lambda_0.  Every later step shares one denominator.
     t = [row[0] for row in tails] + [0.0] * (3 - len(tails))
@@ -498,8 +500,8 @@ def stability_check(
     norm = scheme_norm(scheme, alpha)
     ms = np.arange(2, n + 1)
     # lambda_m of the m-step stencil: its interior weight at m plus d_0(m).
-    w_last = _interior_weights(scheme, alpha, ms[-1], alpha_constants(alpha))[2:]
-    w_last += _tail_deltas(scheme, alpha, ms)[0]
+    interior = _interior_weights(scheme, alpha, ms[-1], alpha_constants(alpha))
+    w_last = interior[2:] + _tail_deltas(scheme, alpha, ms, interior)[0]
     lower = float(np.min(ms**alpha * (-w_last / norm)))
     if -lower / problem.x_end**alpha < problem.D:
         return StabilityVerdict.ConditionallyConvergent

@@ -91,9 +91,10 @@ def _march_recipe(problem, scheme, n):
     """
     alpha, h = problem.alpha, problem.x_end / n
     ha, norm = h**alpha, scheme_norm(scheme, alpha)
-    lam = -_interior_weights(scheme, alpha, n, alpha_constants(alpha)) / norm
+    interior = _interior_weights(scheme, alpha, n, alpha_constants(alpha))
+    lam = -interior / norm
     lam[0] = -lam[0]
-    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), n)]
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), interior, n)]
     t = [row[0] for row in tails] + [0.0] * (3 - len(tails))
     f = np.broadcast_to(problem.forcing(np.arange(2, n + 1) * h), (n - 1,))
     u = np.empty(n + 1)

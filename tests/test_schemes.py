@@ -23,7 +23,8 @@ from caputofd import (
     validate_weights,
     zeta,
 )
-from caputofd.schemes import _deficit_table, _tail_coefficients
+from caputofd.schemes import _deficit_table, _interior_weights, _tail_coefficients
+from caputofd.specfun import alpha_constants
 
 ALPHAS = [0.25, 0.5, 0.75]
 
@@ -221,10 +222,11 @@ TAIL_NS = list(range(2, 61)) + [4095, 4096, 65536]
 #: per family and per n-range (n <= 50 reads the closed forms, n > 50 the
 #: series): 1.1 times what this test measured on the earlier builder, which
 #: summed every deficit with ``math.fsum`` and shared no tail code with
-#: the solver.
+#: the solver.  The L1 n > 50 bound is 1.1 times what it measured once the
+#: interior came from the binomial series and the delta from ``expm1``.
 TAIL_BOUNDS = {
     ("L1", True): 1.1 * 6.413e-15,
-    ("L1", False): 1.1 * 2.073e-12,  # interior second differences at n = 65536
+    ("L1", False): 1.1 * 1.784e-16,
     ("Mid", True): 1.1 * 6.081e-15,
     ("Mid", False): 1.1 * 1.078e-16,
     ("Right", True): 1.1 * 1.280e-12,  # the K_2 closed form at n = 50
@@ -334,6 +336,44 @@ def test_stencil_tails_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     worst = _worst_tail_errors(mpmath)
     assert all(worst[key] <= bound for key, bound in TAIL_BOUNDS.items()), worst
+
+
+#: Interior indices checked against mpmath: every direct difference from 3
+#: to 31, the first series ones, and large k up to 2^20.
+INTERIOR_KS = list(range(3, 40)) + [63, 64, 100, 4095, 4096, 65535, 2**20 - 1, 2**20]
+
+#: Bounds on the worst relative error of an interior weight, per family and
+#: per side of index 32: 1.1 times what this test measured.  Below 32 the L1
+#: and midpoint weights are differences of powers and cancel (worst at
+#: k = 31); from 32 on they come from the binomial series, and every family
+#: is within a few ulps, worst at 2^20, where numpy's power rounds.
+INTERIOR_BOUNDS = {
+    ("L1", False): 1.1 * 1.736e-12,
+    ("L1", True): 1.1 * 1.660e-15,
+    ("Mid", False): 1.1 * 1.877e-14,
+    ("Mid", True): 1.1 * 1.704e-15,
+    ("Right", False): 1.1 * 4.393e-16,
+    ("Right", True): 1.1 * 1.641e-15,
+}
+
+
+def test_interior_weights_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    formulas = {
+        "L1": (SchemeId.L1, lambda k, a: (k + 1) ** (1 - a) - 2 * k ** (1 - a) + (k - 1) ** (1 - a)),
+        "Mid": (SchemeId.MidLow, lambda k, a: (k + 1) ** -a - (k - 1) ** -a),
+        "Right": (SchemeId.RightLow, lambda k, a: k ** (-1 - a)),
+    }
+    worst = dict.fromkeys(INTERIOR_BOUNDS, 0.0)
+    with mp.workdps(40):
+        for alpha in TAIL_ALPHAS:
+            for family, (scheme, formula) in formulas.items():
+                w = _interior_weights(scheme, alpha, 2**20, alpha_constants(alpha))
+                for k in INTERIOR_KS:
+                    ref = formula(mp.mpf(k), mp.mpf(alpha))
+                    key = (family, k >= 32)
+                    worst[key] = max(worst[key], float(abs((mp.mpf(float(w[k])) - ref) / ref)))
+    assert all(worst[key] <= bound for key, bound in INTERIOR_BOUNDS.items()), worst
 
 
 # ---------------------------------------------------------------------------
