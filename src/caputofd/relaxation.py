@@ -26,19 +26,15 @@ past ``_ASYM_N``, read the Euler-Maclaurin expansion).
 
 Steps before the first leaf (the first multiple of ``_LEAF`` at or past
 ``_NEAR_FIELD`` and the series crossover) are marched one at a time, each
-summing every lag with one BLAS ``ddot`` at offsets into a newest-first buffer:
-no slice views, no copy and no numpy dispatch per step.  Each leaf of ``_LEAF``
-steps sums the lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly: a Toeplitz
-slab of the weights adds those from before it, and one LAPACK ``trtrs`` call on
-its lower-triangular Toeplitz matrix carries those inside it.  Older lags come
-from the blocked online convolution of Hairer, Lubich & Schlichte ("Fast
-numerical solution of nonlinear Volterra convolution equations", SIAM J. Sci.
-Stat. Comput. 6, 1985): one FFT product adds a finished block's far field to
-every later step of its sibling block, with the weights transformed once per
-block length.  The FFTs are ``numpy.fft``'s, the same pocketfft code as
-``scipy.fft`` and so the same bits; of scipy, only ``scipy.linalg`` loads with
-this module.  The recurrence stays causal, so every damping, divergent runs
-included, costs O(_NEAR_FIELD^2 + n * _LEAF_NEAR + n log^2 n).
+summing every lag with one BLAS ``ddot``.  Each leaf of ``_LEAF`` steps sums
+the lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly, and one LAPACK
+``trtrs`` call on its lower-triangular Toeplitz matrix carries those inside
+it.  Every family's interior weight is a Laplace transform in the lag, so
+the older lags are a short sum of exponentials (Jiang, Zhang, Zhang and
+Zhang, Commun. Comput. Phys. 21, 2017): N of about 200 decaying states,
+advanced once per leaf.  Of scipy, only ``scipy.linalg`` loads with this
+module.  The recurrence stays causal, so every damping, divergent runs
+included, costs O(_NEAR_FIELD^2 + n * (_LEAF_NEAR + N)).
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.fft import irfft, rfft
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dtrtrs
@@ -58,6 +53,8 @@ from .caputo import exact_caputo_cos2pix, exact_caputo_exp, exact_caputo_power
 from .schemes import (
     SchemeId,
     _ASYM_N,
+    _L1_FAMILY,
+    _MID_FAMILY,
     _interior_weights,
     _tail_deltas,
     scheme_norm,
@@ -84,13 +81,13 @@ _DIVERGENCE_LIMIT = 1e30
 
 #: The march, which sums every lag directly, runs at least this far, so a
 #: shorter solve is the plain recipe bit for bit.  The leaves after it sum
-#: lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly, older ones by FFT.
+#: lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly, older ones from
+#: exponential states.
 _NEAR_FIELD = 4096
 
 #: Only the march's bit-identity needs the whole ``_NEAR_FIELD`` summed
-#: directly.  A leaf step pays O(width) for its direct lags and about
-#: O(log^2 n) for the far ones; 512 made ``solve`` at n = 40960 fastest
-#: (1024, 256, 128 and 64 were slower).
+#: directly.  A leaf step pays O(width) for its direct lags and O(N) for
+#: the far ones.  The exponential sum is measured for lags from 512 on.
 _LEAF_NEAR = 512
 
 #: Steps from the first multiple of this size at or past both
@@ -195,68 +192,28 @@ class SolveResult:
         return self.u.shape[0] - 1
 
 
-def _far_field_splits(n: int, width: int, align: int) -> dict[int, tuple[int, int]]:
-    """Dyadic splits of the grid ``[0, n]`` for the far-field convolution.
+def _exponential_sum(scheme: SchemeId, alpha: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``s`` and weights ``c``: ``sum_i c_i e^(-k s_i)`` is the interior weight at ``lo <= k <= hi``.
 
-    Maps the split point ``mid`` of every node ``[lo, hi)`` longer than
-    ``width`` to ``(lo, hi)``; ``mid`` is the multiple of ``align`` (at most
-    ``width``) nearest the node's middle, so no split falls inside a leaf.
-    Leaves are at most ``width`` long, so every pair of grid points at least
-    ``width`` apart is split by exactly one node, and no two nodes share a
-    split point.
+    Each family's weight is ``int_0^inf s^(beta-1) g(s) e^(-ks) ds / Gamma(beta)``:
+    ``k^(-1-alpha)`` with ``beta = 1 + alpha``, ``g = 1``; the midpoint
+    difference with ``beta = alpha``, ``g = -2 sinh s``; L1's second difference
+    with ``beta = alpha - 1``, ``g = 4 sinh^2(s/2)``.  The trapezoidal rule in
+    ``ln s`` converges exponentially (Trefethen and Weideman, SIAM Rev. 56,
+    2014): step ``tau = 0.25`` on ``[ln(1e-16/hi), ln(45/lo))`` gives 181 nodes
+    for the lags [512, 40960] and 194 for [512, 2^20], within 4.8e-15 relative
+    of mpmath (alpha 0.1 to 0.9, also for [16, 80]).  Step 0.2 measured
+    worse, 1.5e-14.
     """
-    splits: dict[int, tuple[int, int]] = {}
-    stack = [(0, n + 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo > width:
-            mid = lo + (hi - lo + align) // (2 * align) * align
-            splits[mid] = (lo, hi)
-            stack += [(lo, mid), (mid, hi)]
-    return splits
-
-
-def _next_fast_len(n: int) -> int:
-    """Smallest ``2^a * 3^b * 5^c`` at least ``n >= 1``.
-
-    The lengths pocketfft's real transforms factor fastest, the same as
-    ``scipy.fft.next_fast_len(n, real=True)``.
-    """
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _add_far_field(
-    far: np.ndarray, u: np.ndarray, kernel: np.ndarray,
-    spectra: dict[int, tuple[int, np.ndarray]],
-    lo: int, mid: int, hi: int, width: int,
-) -> None:
-    """Add ``sum_{j in [lo, mid)} kernel[m - j] * u[j]`` to ``far[m]`` for ``m in [mid, hi)``.
-
-    ``kernel`` is zero below lag ``width``, so only steps ``m >= lo + width``
-    receive anything.  The linear product of ``u[lo:mid]`` and ``kernel[:size]``,
-    ``size = hi - lo``, ends at index ``size + mid - lo - 2``, so a cyclic one
-    of length at least ``size`` wraps only onto indices below ``mid - lo`` and
-    leaves ``[mid, hi)`` exact.  ``spectra`` keeps each size's transform length
-    and kernel transform.  The transforms are ``numpy.fft``'s: since numpy 2.0
-    that is the pocketfft C++ code ``scipy.fft`` also wraps, so both give the
-    same bits, and numpy's loads no scipy module.
-    """
-    size = hi - lo
-    if size not in spectra:
-        nfft = _next_fast_len(size)
-        spectra[size] = nfft, rfft(kernel[:size], nfft)
-    nfft, kernel_spec = spectra[size]
-    spec = rfft(u[lo:mid], nfft) * kernel_spec
-    start = max(mid, lo + width)
-    far[start:hi] += irfft(spec, nfft)[start - lo : size]
+    tau = 0.25
+    s = np.exp(np.arange(math.log(1e-16 / hi), math.log(45.0 / lo), tau))
+    if scheme in _L1_FAMILY:
+        beta, g = alpha - 1.0, 4.0 * np.sinh(0.5 * s) ** 2
+    elif scheme in _MID_FAMILY:
+        beta, g = alpha, -2.0 * np.sinh(s)
+    else:
+        beta, g = 1.0 + alpha, 1.0
+    return s, tau * s**beta * g / math.gamma(beta)
 
 
 def default_start_mode(scheme: SchemeId) -> StartMode:
@@ -334,24 +291,17 @@ def solve(
 
     Steps below the first leaf (step 4096) are marched one at a time, each
     summing its whole history ``sum_{k=1..m} lambda_k * u_{m-k}`` with one
-    BLAS ``ddot`` at offsets into the newest-first history, so no step builds
-    a slice view, copies it or goes through numpy's dispatch; ``u`` is made
-    contiguous once before the leaves.  Later steps go in leaves of ``_LEAF``
-    (64) and split it at lag ``_LEAF_NEAR`` (512).  The far lags come from a
-    dyadic divide-and-conquer over the grid, minus its nodes ending at or
-    before the first leaf: once the left half ``[lo, mid)`` of a node is
-    solved, one ``rfft``/``irfft`` product adds its far-lag contribution to
-    every step of ``[mid, hi)``; the weights are transformed once per node
-    length.  The tail deltas of every step count are computed once, up front;
-    step m adds ``t_j[m] * u_j`` for each delta, and at step 2 a third delta
-    lands on ``lambda_0``.  The forcing and tail terms of all leaf steps are
-    folded into one right-hand side; each leaf adds the near lags from before
-    it with one product against a ``64 x 511`` Toeplitz slab of the weights,
-    and solves for its own values with one LAPACK ``dtrtrs`` call on the
-    leaf's lower-triangular Toeplitz matrix.  The march stays causal for any
-    ``D``, at O(4096^2 + n * 512) direct plus O(n log^2 n) FFT work.  Past the
-    first leaf the sums differ from the plain march's only by rounding.  The
-    forcing is evaluated once, on the whole grid, before the march.
+    offset BLAS ``ddot`` into a newest-first buffer: no slice view, copy or
+    numpy dispatch per step.  Later steps are solved 64 at a time, by one
+    LAPACK ``dtrtrs`` call on the leaf's lower-triangular Toeplitz matrix,
+    after one product with a ``64 x 511`` Toeplitz block of the weights for
+    the lags below 512 from before the leaf, and one with N exponential
+    states (:func:`_exponential_sum`, N = 181 at n = 40960) for the older
+    ones.  The states advance once per leaf, by one ``N x 64`` product.  The
+    forcing and the tail deltas of every step count are computed once, up
+    front; at step 2 a third delta lands on ``lambda_0``.  The march stays
+    causal for any ``D``, at O(4096^2 + n * (512 + N)).  Past the first leaf
+    the sums differ from the plain march's only by rounding.
 
     Args:
         problem: The initial-value problem.
@@ -380,37 +330,26 @@ def solve(
     d_ha = problem.D * ha
     mode = start if start is not None else default_start_mode(scheme)
 
-    # far[m] collects sum_{k >= width} gen_lam[k] * u[m-k], block by block,
-    # through far_kernel: gen_lam with its first `width` lags zeroed.  A
-    # leaf no longer than `width` keeps every lag inside it in the near field.
+    # A leaf no longer than `width` keeps every lag inside it in the near field.
     width = min(_NEAR_FIELD, _LEAF_NEAR)
     leaf = min(_LEAF, width)
     first_leaf = -(-max(_NEAR_FIELD, _ASYM_N + 1) // leaf) * leaf
     march_end = min(n, first_leaf - 1)
-    far = np.zeros(n + 1)
-    far_kernel = np.zeros(n + 1)
 
-    interior = _interior_weights(scheme, alpha, n, c)
-    gen_lam = -interior / norm
-    gen_lam[0] = -gen_lam[0]
-    far_kernel[width:] = gen_lam[width:]
+    w = _interior_weights(scheme, alpha, n, c)
 
     rev = np.empty(n + 1)
     u = rev[::-1]  # newest first: step m's history u[m-1::-1] is rev[n-m+1:]
     u[0] = problem.y0
     u[1] = first_step(problem, h, mode)
     forcing = _forcing_on_grid(problem.forcing, h, n)
-    # Only the leaves read far[]; nodes ending at or before the first leaf
-    # are dropped.  Built after the forcing, like the tails, for peak memory.
-    splits = _far_field_splits(n, width, leaf).items()
-    nodes = sorted(((mid, lo, hi) for mid, (lo, hi) in splits if hi > first_leaf), reverse=True)
     # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.
-    # They are built after the forcing and freed once the leaves have them,
-    # so that no O(n) array of theirs meets the forcing's temporaries or the
-    # leaves' FFTs, which set the peak memory of a long solve.  The marched
-    # steps read S_m[1+alpha] from the running table, the leaves from a series.
-    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), interior, march_end)]
-    del interior
+    # Built after the forcing and freed once the leaves have them, so that
+    # none meets the forcing's temporaries, which set a long solve's peak
+    # memory.  The march reads S_m[1+alpha] from the running table.
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), w, march_end)]
+    gen_lam = np.divide(w, -norm, out=w)  # lambda_k in w's memory
+    gen_lam[0] = -gen_lam[0]
     # Step 2 reads its tail terms as stencil weights; a third delta lands
     # on lambda_0.  Every later step shares one denominator.
     t = [row[0] for row in tails] + [0.0] * (3 - len(tails))
@@ -432,7 +371,7 @@ def solve(
             history = ddot(gen_lam, rev, m, 1, 1, n - m + 1)
             # Left to right, one term at a time; a missing delta's +0.0 is exact on a dot's sum.
             rev[n - m] = (f + (history + p0 + p1 + p2)) / den
-        u = u.copy()  # contiguous, so the leaves' products round as before
+        u = u.copy()  # contiguous for the leaves' products
 
         if n >= first_leaf:
             # Steps past the march: forcing and tail terms for all of them ...
@@ -441,23 +380,26 @@ def solve(
                 rhs += row[first_leaf - 2 :] * u[j]
             del tails
             # ... then one leaf at a time: slab[i] @ u[lo - width + 1 : lo]
-            # sums the near lags reaching step lo + i from before the leaf,
-            # and tri (lambda_0 + D*h^alpha on the diagonal, -gen_lam[k] on
-            # the k-th subdiagonal) carries the lags inside it.
-            slab = np.zeros((leaf, width - 1))
-            for i in range(leaf):
-                slab[i, i:] = gen_lam[width - 1 : i : -1]
+            # sums the lags i + 1 .. width - 1 + i reaching step lo + i from
+            # before the leaf, and tri (lambda_0 + D*h^alpha on the diagonal,
+            # -gen_lam[k] on the k-th subdiagonal) carries the lags inside it.
+            slab = toeplitz(gen_lam[width - 1 : width - 1 + leaf], gen_lam[width - 1 : 0 : -1])
             tri = toeplitz(np.concatenate(([gen_lam[0] + d_ha], -gen_lam[1:leaf])), np.zeros(leaf))
-            # A node adds its far lags before the first leaf at or past its split
-            # point, in split order (nodes[-1] first), with one transform per length.
-            spectra: dict[int, tuple[int, np.ndarray]] = {}
-            for lo in range(first_leaf, n + 1, leaf):
-                while nodes and nodes[-1][0] <= lo:
-                    mid, left, right = nodes.pop()
-                    _add_far_field(far, u, far_kernel, spectra, left, mid, right, width)
+            # The lags from width + i on: out[i] @ state, with
+            # state = sum_{j <= lo - width} e^(-(lo - j) s) u_j, carried one
+            # leaf at a time from lo = width on, the marched steps included.
+            s, weights = _exponential_sum(scheme, alpha, width, n)
+            out = np.exp(-np.outer(np.arange(leaf), s)) * (-weights / norm)
+            feed = np.exp(-np.outer(s, np.arange(width + leaf - 1, width - 1, -1)))
+            decay = np.exp(-leaf * s)
+            state = np.exp(-width * s) * u[0]
+            for lo in range(width + leaf, n + 1, leaf):
+                state = decay * state + feed @ u[lo - width - leaf + 1 : lo - width + 1]
+                if lo < first_leaf:
+                    continue
                 hi = min(lo + leaf, n + 1)
                 rows = hi - lo
-                b = rhs[lo - first_leaf : hi - first_leaf] + far[lo:hi]
+                b = rhs[lo - first_leaf : hi - first_leaf] + out[:rows] @ state
                 b += slab[:rows] @ u[lo - width + 1 : lo]
                 # tri.T is upper triangular in Fortran order; trans=1 solves tri @ x = b.
                 u[lo:hi], info = dtrtrs(tri[:rows, :rows].T, b, lower=0, trans=1, overwrite_b=1)
@@ -523,15 +465,25 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
     Each forcing is assembled as exact-Caputo-derivative + D*solution, so
     the listed function is the exact solution by construction.  The
     forcings take a point or an array of points, and an array gives the
-    scalar values bit for bit.  Powers, ``exp`` and ``cos`` are numpy's.
+    scalar values bit for bit, and so do the solutions, whatever the
+    memory layout of the array.  Powers, ``exp`` and ``cos`` are numpy's.
     Problem I adds its four power terms in order with plain additions:
     they are never negative, so no compensation is needed (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, §4.2).
     """
     alpha_constants(alpha)  # validates the order once, loudly
 
+    @_elementwise
     def poly(x):
         return 1.0 + x * (1.0 + x * (1.0 + x * (1.0 + x)))
+
+    @_elementwise
+    def exp(x):
+        return np.exp(x)
+
+    @_elementwise
+    def cos(x):
+        return np.cos(2.0 * math.pi * x)
 
     @_elementwise
     def poly_forcing(x):
@@ -565,7 +517,7 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
             D=1.0,
             forcing=exp_unit_forcing,
             y0=1.0,
-            exact=np.exp,
+            exact=exp,
             dy0=1.0,
             d2y0=1.0,
             label="II",
@@ -575,7 +527,7 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
             D=1.0,
             forcing=cos_forcing,
             y0=1.0,
-            exact=lambda x: np.cos(2.0 * math.pi * x),
+            exact=cos,
             dy0=0.0,
             d2y0=-4.0 * math.pi**2,
             label="III",
@@ -585,7 +537,7 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
             D=D,
             forcing=exp_damped_forcing,
             y0=1.0,
-            exact=np.exp,
+            exact=exp,
             dy0=1.0,
             d2y0=1.0,
             label="exp",

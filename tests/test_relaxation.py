@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.blas import ddot
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,8 +56,8 @@ HIGH_ORDER = [
 
 #: Near-field widths the far-field tests run under: the solver's default,
 #: which leaves these short solves on the plain march, and 16, which sends
-#: every lag from 16 on through the FFT far field and every step from 64 on
-#: through 16-step leaves.  A near field below 512 is also the leaves'
+#: every step from 64 on through 16-step leaves, whose lags from 16 on come
+#: from exponential states.  A near field below 512 is also the leaves'
 #: direct width; the default one's leaves sum only lags below 512 directly.
 DEFAULT_NEAR_FIELD = relaxation._NEAR_FIELD
 NEAR_FIELDS = [DEFAULT_NEAR_FIELD, 16]
@@ -121,17 +120,17 @@ def _leaf_rows(monkeypatch):
     return rows
 
 
-def _far_field_nodes(monkeypatch):
-    """``(lo, hi)`` of the far-field nodes that ``solve`` adds from now on."""
-    nodes = []
-    add_far_field = relaxation._add_far_field
+def _exponential_sums(monkeypatch):
+    """Lag ranges ``(lo, hi)`` of the exponential sums ``solve`` builds from now on."""
+    ranges = []
+    exponential_sum = relaxation._exponential_sum
 
-    def spy(far, u, kernel, spectra, lo, mid, hi, width):
-        nodes.append((lo, hi))
-        add_far_field(far, u, kernel, spectra, lo, mid, hi, width)
+    def spy(scheme, alpha, lo, hi):
+        ranges.append((lo, hi))
+        return exponential_sum(scheme, alpha, lo, hi)
 
-    monkeypatch.setattr(relaxation, "_add_far_field", spy)
-    return nodes
+    monkeypatch.setattr(relaxation, "_exponential_sum", spy)
+    return ranges
 
 
 def _leaf_matrix(scheme, alpha, damping, n):
@@ -213,6 +212,13 @@ class TestCatalog:
         }
         for problem in equation_catalog(alpha, D=-2.5):
             assert np.array_equal(problem.forcing(grid), expected[problem.label])
+
+    def test_exact_ignores_memory_layout(self):
+        # numpy's exp may round a strided array differently from a
+        # contiguous one; a solution must not.
+        g = np.linspace(0.0, 1.0, 4097)
+        for problem in equation_catalog(0.5):
+            assert problem.exact(g[::-1]).tobytes() == problem.exact(g)[::-1].tobytes(), problem.label
 
 
 class TestProblemValidation:
@@ -491,8 +497,9 @@ class TestSolve:
     )
     def test_leaf_path_matches_plain_march(self, scheme, monkeypatch):
         # A near field wider than the grid turns leaves and far field off.
-        # At the second n some far-field nodes lie wholly past the march,
-        # so leaves reach later leaves through the FFT.
+        # At the second n leaves reach later leaves through the exponential
+        # states.  Rounding grows like n^alpha, so the gap is also gated in
+        # units of n^alpha ulps of the solution.
         layouts = {
             FIRST_LEAF + 2 * 64: [64, 64, 1],  # two full leaves and one step of a third
             FIRST_LEAF + 32 * 64 + 1: [64] * 32 + [2],
@@ -512,6 +519,8 @@ class TestSolve:
                     assert np.all(gap <= 5e-13 * np.maximum(1.0, np.abs(march))), (
                         n, alpha, problem.label, float(np.max(gap)),
                     )
+                    ulps = np.max(gap) / (n**alpha * np.spacing(np.max(np.abs(march))))
+                    assert ulps <= 4.0, (n, alpha, problem.label, float(ulps))
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
     def test_leaf_edges_match_stepwise_rebuild(self, scheme, monkeypatch):
@@ -528,48 +537,46 @@ class TestSolve:
             np.testing.assert_allclose(result.u, reference, rtol=0, atol=5e-14)
         assert rows == [1, 2, 16, 16, 1]
 
-    @pytest.mark.parametrize("n,width,align", [(200, 16, 16), (300, 16, 8), (1000, 64, 64)])
-    def test_far_field_splits_cover_far_pairs_once(self, n, width, align):
-        splits = relaxation._far_field_splits(n, width, align)
-        assert all(mid % align == 0 for mid in splits)
-        cover = np.zeros((n + 1, n + 1), dtype=int)
-        for mid, (lo, hi) in splits.items():
-            assert lo < mid < hi
-            cover[mid:hi, lo:mid] += 1
-        m, j = np.indices(cover.shape)
-        assert np.all(cover[m - j >= width] == 1)
-        assert np.all(cover[m < j] == 0)
-
-    def test_next_fast_len_is_scipys(self):
-        # The far field's transform lengths: the smallest 5-smooth number at
-        # least n, as scipy.fft.next_fast_len(n, real=True) gives it.
-        known = {1: 1, 2: 2, 7: 8, 97: 100, 641: 648, 1000: 1000, 1281: 1296,
-                 4097: 4320, 12345: 12500, 40961: 41472, 65537: 65610, 2**20 + 1: 1049760}
-        assert {n: relaxation._next_fast_len(n) for n in known} == known
-        mismatched = [
-            n for n in range(1, 2**17 + 1)
-            if relaxation._next_fast_len(n) != next_fast_len(n, real=True)
-        ]
-        assert mismatched == []
+    def test_exponential_sum_against_mpmath(self):
+        # The far field's kernel for lags [512, n] at n = 40960 and 2^20, and
+        # for width 16's [16, 80]: the first 40 lags and 60 spread to the last.
+        mp = pytest.importorskip("mpmath")
+        formulas = {
+            SchemeId.L1: lambda k, a: (k + 1) ** (1 - a) - 2 * k ** (1 - a) + (k - 1) ** (1 - a),
+            SchemeId.MidLow: lambda k, a: (k + 1) ** -a - (k - 1) ** -a,
+            SchemeId.RightLow: lambda k, a: k ** (-1 - a),
+        }
+        worst = 0.0
+        with mp.workdps(30):
+            for lo, hi in [(512, 40960), (512, 2**20), (16, 80)]:
+                spread = np.geomspace(lo, hi, 60).astype(int)
+                ks = np.unique(np.concatenate((np.arange(lo, lo + 40), spread, [hi])))
+                for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    for scheme, formula in formulas.items():
+                        s, c = relaxation._exponential_sum(scheme, alpha, lo, hi)
+                        got = np.exp(-np.outer(ks, s)) @ c
+                        for k, value in zip(ks.tolist(), got.tolist()):
+                            ref = formula(mp.mpf(k), mp.mpf(alpha))
+                            worst = max(worst, float(abs((value - ref) / ref)))
+        # 1.1 times the measured worst (the right sum at alpha 0.9): the
+        # trapezoidal rule's own error at step 0.25, not rounding.
+        assert worst <= 1.1 * 4.79e-15, worst
 
     def test_no_far_field_below_the_first_leaf(self, monkeypatch):
-        # The march sums every lag directly, so a far-field node wholly
-        # below the first leaf would be an FFT nobody reads.
-        nodes = _far_field_nodes(monkeypatch)
+        # The march sums every lag directly, so a solve that ends before the
+        # first leaf builds no exponential sum; a longer one builds one, for
+        # the lags from 512 to n.
+        ranges = _exponential_sums(monkeypatch)
         problem = equation_catalog(0.5)[1]
         solve(problem, SchemeId.L1, FIRST_LEAF - 1)
-        assert nodes == []
+        assert ranges == []
         solve(problem, SchemeId.L1, FIRST_LEAF + 64)
-        assert nodes and all(hi > FIRST_LEAF for _, hi in nodes)
-        nodes.clear()
-        # Lags from 512 on go through the far field, so leaves feed leaves.
-        solve(problem, SchemeId.L1, FIRST_LEAF + 32 * 64 + 1)
-        assert any(lo >= FIRST_LEAF for lo, _ in nodes)
+        assert ranges == [(512, FIRST_LEAF + 64)]
 
     def test_narrow_march_sums_every_lag(self, monkeypatch):
         # Width 16 puts the first leaf at step 64, so the march passes the
         # near field: each of its steps still sums every lag with one ddot,
-        # and no far-field node that ends at or before step 64 is evaluated.
+        # and only the leaves read the exponential states.
         monkeypatch.setattr(relaxation, "_NEAR_FIELD", 16)
         lengths = []
 
@@ -578,10 +585,10 @@ class TestSolve:
             return ddot(x, y, n, *args)
 
         monkeypatch.setattr(relaxation, "ddot", spy)
-        nodes = _far_field_nodes(monkeypatch)
+        ranges = _exponential_sums(monkeypatch)
         solve(equation_catalog(0.5)[1], SchemeId.L1, 300)
         assert lengths == list(range(3, 64))
-        assert nodes and all(hi > 64 for _, hi in nodes)
+        assert ranges == [(16, 300)]
 
     @pytest.mark.parametrize(
         "scheme,damping", [(SchemeId.L1, -1.0), (SchemeId.Mid2, 1.0), (SchemeId.Right3mAlpha, -5.0)],
@@ -610,45 +617,6 @@ class TestSolve:
                 assert got.tobytes() == expected.tobytes(), (rows, b[0])
                 nonfinite += int(np.sum(~np.isfinite(expected)))
         assert nonfinite
-
-    def test_shared_spectrum_is_the_per_node_transform(self):
-        # Every node of one length reuses the first one's kernel transform;
-        # the far field must equal the per-node rfft recipe bit for bit.
-        n, width = FIRST_LEAF + 32 * 64 + 1, 512
-        rng = np.random.default_rng(5)
-        u = rng.standard_normal(n + 1)
-        kernel = np.zeros(n + 1)
-        kernel[width:] = rng.standard_normal(n + 1 - width)
-        splits = relaxation._far_field_splits(n, width, 64)
-        spectra = {}
-        for mid, (lo, hi) in sorted(splits.items()):
-            got = np.zeros(n + 1)
-            relaxation._add_far_field(got, u, kernel, spectra, lo, mid, hi, width)
-            size = hi - lo
-            nfft = next_fast_len(size, real=True)
-            expected = np.zeros(n + 1)
-            start = max(mid, lo + width)
-            spec = rfft(u[lo:mid], nfft) * rfft(kernel[:size], nfft)
-            expected[start:hi] += irfft(spec, nfft)[start - lo : size]
-            assert got.tobytes() == expected.tobytes(), (lo, mid, hi)
-        sizes = {hi - lo for lo, hi in splits.values()}
-        assert sorted(spectra) == sorted(sizes) and len(sizes) < len(splits)
-
-    def test_kernel_transformed_once_per_length(self, monkeypatch):
-        # Each node transforms its half of u; the kernel is transformed once
-        # per distinct node length (13 for the 117 nodes at n = 40960).
-        calls = []
-
-        def spy(x, *args, **kwargs):
-            calls.append(len(x))
-            return rfft(x, *args, **kwargs)
-
-        monkeypatch.setattr(relaxation, "rfft", spy)
-        nodes = _far_field_nodes(monkeypatch)
-        solve(equation_catalog(0.5)[1], SchemeId.L1, 40960)
-        lengths = {hi - lo for lo, hi in nodes}
-        assert (len(nodes), len(lengths)) == (117, 13)
-        assert len(calls) == len(nodes) + len(lengths)
 
     def test_far_field_leaves_no_reference_cycles(self):
         # A cycle would keep every array of the solve alive until the
