@@ -1,6 +1,7 @@
 """Write ``BENCH_<label>.json``: end-to-end timings of this checkout.
 
     python3 bench/snapshot.py --label "$(git rev-parse --short HEAD)"
+    python3 bench/snapshot.py --label "$(git rev-parse --short HEAD)" --against HEAD~1
 
 Measures the sources under ``src/`` beside this script, in fresh processes
 (one BLAS/OpenMP thread each), ``REPEATS`` times after one untimed warm-up
@@ -9,8 +10,8 @@ of each item:
 * ``import``: ``import caputofd``, timed inside the process;
 * ``cli_golden_table1``: one whole ``caputofd golden --table 1`` process;
 * ``solve_II_Right3mAlpha_<n>``: in-process ``solve`` of problem II
-  (alpha 0.5) with Right3mAlpha at n = 40960 and 2^20, one process per n
-  timing every repeat, with its peak RSS;
+  (alpha 0.5) with Right3mAlpha at n = 40960 and 2^20, one process per
+  repeat timing one solve after an untimed one, with its peak RSS;
 * ``perfbench_<workload>``: ``perfbench/run.py --trace 0`` for every
   workload of ``BENCHMARK.json`` (seed ``SEED``, ``PERFBENCH_SECONDS`` of
   measuring), its last line's metrics;
@@ -24,6 +25,14 @@ moves perfbench's ``setup_s``); numpy and scipy compile in every process
 too, so these figures are cold starts.  Each item records the median and
 min of its repeats.  The settings are constants, so every BENCH file of the
 trajectory is measured alike.  The file goes to the repository root.
+
+``--against REV`` measures a git revision of this repository in the same
+invocation, extracted with ``git archive`` into a temporary directory.
+Every item's repeats alternate between this checkout and REV, REV first in
+odd pairs, so that the machine's drift falls on both alike.  Both BENCH
+files are written, REV's labelled with its short sha.  In both, each
+repeated number carries ``change_lower``: in how many of the ``REPEATS``
+pairs this checkout read lower than REV.
 """
 
 from __future__ import annotations
@@ -31,18 +40,19 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
 
 REPEATS = 5
 PERFBENCH_SECONDS = 6.0
@@ -73,25 +83,23 @@ print(time.perf_counter() - t)
 SOLVE = """
 import json, resource, sys, time
 from caputofd import SchemeId, equation_catalog, solve
-n, repeats = int(sys.argv[1]), int(sys.argv[2])
+n = int(sys.argv[1])
 problem = equation_catalog(0.5)[1]
 solve(problem, SchemeId.Right3mAlpha, n)
-times = []
-for _ in range(repeats):
-    t = time.perf_counter()
-    solve(problem, SchemeId.Right3mAlpha, n)
-    times.append(time.perf_counter() - t)
+t = time.perf_counter()
+solve(problem, SchemeId.Right3mAlpha, n)
+seconds = time.perf_counter() - t
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"times": times, "peak_rss_mb": rss}))
+print(json.dumps({"seconds": seconds, "peak_rss_mb": rss}))
 """
 
 
-def run(cmd: list[str]) -> tuple[float, str]:
-    """Run ``cmd`` from the repository root with a fresh bytecode cache; wall seconds and stdout."""
+def run(root: Path, cmd: list[str]) -> tuple[float, str]:
+    """Run ``cmd`` from the tree ``root`` on its ``src/``, with a fresh bytecode cache; wall seconds and stdout."""
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONPYCACHEPREFIX=cache, **THREAD_PINS)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=cache, **THREAD_PINS)
         start = time.perf_counter()
-        out = subprocess.run(cmd, env=env, cwd=ROOT, stdout=subprocess.PIPE,
+        out = subprocess.run(cmd, env=env, cwd=root, stdout=subprocess.PIPE,
                              stderr=subprocess.DEVNULL, text=True, check=True)
         return time.perf_counter() - start, out.stdout
 
@@ -100,25 +108,58 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "min": min(values), "runs": values}
 
 
-def repeated(cmd: list[str], parse) -> list:
-    """``parse(wall, stdout)`` of ``REPEATS`` runs of ``cmd`` after one warm-up."""
-    run(cmd)
-    return [parse(*run(cmd)) for _ in range(REPEATS)]
+def repeated(roots: list[Path], cmd: list[str], parse) -> list[list]:
+    """Per tree, ``parse(wall, stdout)`` of ``REPEATS`` runs of ``cmd`` after one warm-up.
+
+    The trees' runs alternate, the last tree first in odd pairs.
+    """
+    for root in roots:
+        run(root, cmd)
+    results = [[] for _ in roots]
+    for i in range(REPEATS):
+        for j in (reversed(range(len(roots))) if i % 2 == 0 else range(len(roots))):
+            results[j].append(parse(*run(roots[j], cmd)))
+    return results
 
 
-def environment(label: str) -> dict:
+def count_pairs(change, against) -> None:
+    """Set ``change_lower`` on every repeated number of both reports' items, in place."""
+    if isinstance(change, dict) and "runs" in change:
+        lower = sum(a < b for a, b in zip(change["runs"], against["runs"]))
+        change["change_lower"] = against["change_lower"] = lower
+    elif isinstance(change, dict):
+        for key in change.keys() & against.keys():
+            count_pairs(change[key], against[key])
+
+
+def git_sha(root: Path) -> str | None:
+    if not (root / ".git").exists():
+        return None
+    out = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() or None
+
+
+def checkout(rev: str, into: Path) -> str:
+    """Extract revision ``rev`` of this repository into ``into``; its full sha."""
+    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                         capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return sha
+
+
+def environment(root: Path, label: str, sha: str | None) -> dict:
     import numpy
     import scipy
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    sha = None
-    if (ROOT / ".git").exists():
-        out = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-                             capture_output=True, text=True)
-        sha = out.stdout.strip() or None
+    src = root / "src"
     digest = hashlib.sha256()
-    for path in sorted((SRC / "caputofd").rglob("*.py")):
-        digest.update(path.relative_to(SRC).as_posix().encode())
+    for path in sorted((src / "caputofd").rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode())
         digest.update(path.read_bytes())
     return {
         "label": label,
@@ -141,40 +182,62 @@ def environment(label: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--against", metavar="REV",
+                        help="a git revision to measure interleaved with this checkout")
     args = parser.parse_args(argv)
 
-    py = sys.executable
-    items = {}
-    imports = repeated([py, "-c", IMPORT], lambda wall, out: float(out))
-    items["import"] = {"unit": "s", **summary(imports)}
-    golden = repeated([py, "-m", "caputofd.cli", "golden", "--table", "1"],
-                      lambda wall, out: wall)
-    items["cli_golden_table1"] = {"unit": "s", **summary(golden)}
-    for n in (40960, 2**20):
-        _, out = run([py, "-c", SOLVE, str(n), str(REPEATS)])
-        result = json.loads(out)
-        items[f"solve_II_Right3mAlpha_{n}"] = {
-            "unit": "s", **summary(result["times"]), "peak_rss_mb": result["peak_rss_mb"]}
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    for workload in (w["name"] for w in spec["workloads"]):
-        cmd = [py, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-               "--seconds", repr(PERFBENCH_SECONDS), "--trace"]
-        lasts = repeated(cmd + ["0"], lambda wall, out: json.loads(out.splitlines()[-1]))
-        entry = {"seed": SEED, "seconds": PERFBENCH_SECONDS,
-                 "correct": all(last["correct"] for last in lasts)}
-        for name, metric in lasts[0]["metrics"].items():
-            values = [last["metrics"][name]["value"] for last in lasts]
-            entry[name] = {"unit": metric["unit"], **summary(values)}
-        items[f"perfbench_{workload}"] = entry
-        traced = json.loads(run(cmd + ["1"])[1].splitlines()[-1])
-        items[f"perfbench_{workload}_trace"] = {
-            "seed": SEED, "seconds": PERFBENCH_SECONDS, "correct": traced["correct"],
-            **{name: traced["metrics"][name] for name in TRACED}}
+    with tempfile.TemporaryDirectory(prefix="bench-tree-") as against:
+        trees = [(ROOT, args.label, git_sha(ROOT))]
+        if args.against:
+            sha = checkout(args.against, Path(against))
+            trees.append((Path(against), sha[:7], sha))
+        roots = [root for root, _, _ in trees]
+        reports = [{"env": environment(root, label, sha), "repeats": REPEATS, "items": {}}
+                   for root, label, sha in trees]
+        items = [report["items"] for report in reports]
+        py = sys.executable
+        for per_tree, runs in zip(items, repeated(roots, [py, "-c", IMPORT],
+                                                  lambda wall, out: float(out))):
+            per_tree["import"] = {"unit": "s", **summary(runs)}
+        golden = repeated(roots, [py, "-m", "caputofd.cli", "golden", "--table", "1"],
+                          lambda wall, out: wall)
+        for per_tree, runs in zip(items, golden):
+            per_tree["cli_golden_table1"] = {"unit": "s", **summary(runs)}
+        for n in (40960, 2**20):
+            solves = repeated(roots, [py, "-c", SOLVE, str(n)], lambda wall, out: json.loads(out))
+            for per_tree, results in zip(items, solves):
+                per_tree[f"solve_II_Right3mAlpha_{n}"] = {
+                    "unit": "s", **summary([r["seconds"] for r in results]),
+                    "peak_rss_mb": summary([r["peak_rss_mb"] for r in results])}
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        for workload in (w["name"] for w in spec["workloads"]):
+            cmd = [py, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+                   "--seconds", repr(PERFBENCH_SECONDS), "--trace"]
+            lasts_per_tree = repeated(roots, cmd + ["0"],
+                                      lambda wall, out: json.loads(out.splitlines()[-1]))
+            for per_tree, lasts in zip(items, lasts_per_tree):
+                entry = {"seed": SEED, "seconds": PERFBENCH_SECONDS,
+                         "correct": all(last["correct"] for last in lasts)}
+                for name, metric in lasts[0]["metrics"].items():
+                    values = [last["metrics"][name]["value"] for last in lasts]
+                    entry[name] = {"unit": metric["unit"], **summary(values)}
+                per_tree[f"perfbench_{workload}"] = entry
+            for per_tree, root in zip(items, roots):
+                traced = json.loads(run(root, cmd + ["1"])[1].splitlines()[-1])
+                per_tree[f"perfbench_{workload}_trace"] = {
+                    "seed": SEED, "seconds": PERFBENCH_SECONDS, "correct": traced["correct"],
+                    **{name: traced["metrics"][name] for name in TRACED}}
 
-    path = ROOT / f"BENCH_{args.label}.json"
-    report = {"env": environment(args.label), "repeats": REPEATS, "items": items}
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    print(path)
+    if len(reports) == 2:
+        count_pairs(*items)
+        pair = {"change": trees[0][1], "against": trees[1][1],
+                "order": "interleaved, the against tree first in odd pairs"}
+        for report in reports:
+            report["pair"] = pair
+    for report in reports:
+        path = ROOT / f"BENCH_{report['env']['label']}.json"
+        path.write_text(json.dumps(report, indent=2) + "\n")
+        print(path)
     return 0
 
 

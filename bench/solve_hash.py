@@ -8,7 +8,8 @@ order, then II with Right3mAlpha at alpha 0.5 and n = 2^20.  The digest
 covers the raw bytes of every ``SolveResult.u`` in turn, so it changes when
 any value of any step moves by a bit: a change that claims to leave the
 solver's output bit for bit must leave this hash as it was.  The grid sizes
-straddle the first leaf (4096) and the far field, and D = -5 keeps exp on a
+straddle the near field (4096): 4095 is the plain march, and the longer
+solves run leaves and their far field from step 256.  D = -5 keeps exp on a
 growing solution whose rounding is amplified.
 """
 

@@ -24,17 +24,19 @@ only names its last marched step, up to which the harmonic deficit
 ``S_m[1+alpha]`` comes from the running compensated table (the leaves, all
 past ``_ASYM_N``, read the Euler-Maclaurin expansion).
 
-Steps before the first leaf (the first multiple of ``_LEAF`` at or past
-``_NEAR_FIELD`` and the series crossover) are marched one at a time, each
-summing every lag with one BLAS ``ddot``.  Each leaf of ``_LEAF`` steps sums
-the lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly, and one LAPACK
-``trtrs`` call on its lower-triangular Toeplitz matrix carries those inside
-it.  Every family's interior weight is a Laplace transform in the lag, so
-the older lags are a short sum of exponentials (Jiang, Zhang, Zhang and
-Zhang, Commun. Comput. Phys. 21, 2017): N of about 200 decaying states,
-advanced once per leaf.  Of scipy, only ``scipy.linalg`` loads with this
-module.  The recurrence stays causal, so every damping, divergent runs
-included, costs O(_NEAR_FIELD^2 + n * (_LEAF_NEAR + N)).
+Solves shorter than ``_NEAR_FIELD`` steps are marched one at a time, each
+step summing every lag with one BLAS ``ddot``.  A longer solve marches only
+to its first leaf, step 256 (the first multiple of ``_LEAF`` at or past two
+leaves and the series crossover), and solves every later step in leaves of
+``_LEAF``.  Each leaf sums the ``_LEAF - 1`` lags before it directly, and
+one LAPACK ``trtrs`` call on its lower-triangular Toeplitz matrix carries
+those inside it.  Every family's interior weight is a Laplace transform in
+the lag, so the lags from ``_LEAF`` on are a short sum of exponentials
+(Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys. 21, 2017): N of about
+190 decaying states, advanced once per leaf.  Of scipy, only
+``scipy.linalg`` loads with this module.  The recurrence stays causal, so
+every damping, divergent runs included, costs a long solve
+O(256^2 + n * (128 + N)).
 """
 
 from __future__ import annotations
@@ -79,20 +81,15 @@ __all__ = [
 #: completes so the blow-up profile can be inspected).
 _DIVERGENCE_LIMIT = 1e30
 
-#: The march, which sums every lag directly, runs at least this far, so a
-#: shorter solve is the plain recipe bit for bit.  The leaves after it sum
-#: lags below ``min(_NEAR_FIELD, _LEAF_NEAR)`` directly, older ones from
-#: exponential states.
+#: Solves shorter than this are the plain march, bit for bit: every step
+#: sums every lag directly.  A longer one marches only to its first leaf.
 _NEAR_FIELD = 4096
 
-#: Only the march's bit-identity needs the whole ``_NEAR_FIELD`` summed
-#: directly.  A leaf step pays O(width) for its direct lags and O(N) for
-#: the far ones.  The exponential sum is measured for lags from 512 on.
-_LEAF_NEAR = 512
-
-#: Steps from the first multiple of this size at or past both
-#: ``_NEAR_FIELD`` and ``_ASYM_N`` on are solved this many at a time.
-_LEAF = 64
+#: Leaves are this many steps wide (at most ``_NEAR_FIELD``), from the first
+#: multiple of the width at or past two leaves and ``_ASYM_N`` on.  A leaf
+#: sums the lags below its width directly, at O(width) per step, and the
+#: older ones from exponential states, at O(N).
+_LEAF = 128
 
 
 class StartMode(Enum):
@@ -200,8 +197,8 @@ def _exponential_sum(scheme: SchemeId, alpha: float, lo: int, hi: int) -> tuple[
     difference with ``beta = alpha``, ``g = -2 sinh s``; L1's second difference
     with ``beta = alpha - 1``, ``g = 4 sinh^2(s/2)``.  The trapezoidal rule in
     ``ln s`` converges exponentially (Trefethen and Weideman, SIAM Rev. 56,
-    2014): step ``tau = 0.25`` on ``[ln(1e-16/hi), ln(45/lo))`` gives 181 nodes
-    for the lags [512, 40960] and 194 for [512, 2^20], within 4.8e-15 relative
+    2014): step ``tau = 0.25`` on ``[ln(1e-16/hi), ln(45/lo))`` gives 186 nodes
+    for the lags [128, 40960] and 199 for [128, 2^20], within 4.8e-15 relative
     of mpmath (alpha 0.1 to 0.9, also for [16, 80]).  Step 0.2 measured
     worse, 1.5e-14.
     """
@@ -289,19 +286,20 @@ def solve(
 ) -> SolveResult:
     """March the relaxation equation across ``n`` uniform steps.
 
-    Steps below the first leaf (step 4096) are marched one at a time, each
+    A solve shorter than 4096 steps is marched one step at a time, each step
     summing its whole history ``sum_{k=1..m} lambda_k * u_{m-k}`` with one
     offset BLAS ``ddot`` into a newest-first buffer: no slice view, copy or
-    numpy dispatch per step.  Later steps are solved 64 at a time, by one
-    LAPACK ``dtrtrs`` call on the leaf's lower-triangular Toeplitz matrix,
-    after one product with a ``64 x 511`` Toeplitz block of the weights for
-    the lags below 512 from before the leaf, and one with N exponential
-    states (:func:`_exponential_sum`, N = 181 at n = 40960) for the older
-    ones.  The states advance once per leaf, by one ``N x 64`` product.  The
-    forcing and the tail deltas of every step count are computed once, up
-    front; at step 2 a third delta lands on ``lambda_0``.  The march stays
-    causal for any ``D``, at O(4096^2 + n * (512 + N)).  Past the first leaf
-    the sums differ from the plain march's only by rounding.
+    numpy dispatch per step.  A longer solve marches only to step 255, then
+    solves 128 steps at a time, by one LAPACK ``dtrtrs`` call on the leaf's
+    lower-triangular Toeplitz matrix, after one product with a ``128 x 127``
+    Toeplitz block of the weights for the lags below 128 from before the
+    leaf, and one with N exponential states (:func:`_exponential_sum`,
+    N = 186 at n = 40960) for the older ones.  The states advance once per
+    leaf, by one ``N x 128`` product.  The forcing and the tail deltas of
+    every step count are computed once, up front; at step 2 a third delta
+    lands on ``lambda_0``.  The recurrence stays causal for any ``D``, at
+    O(256^2 + n * (128 + N)).  In the leaves the sums differ from the plain
+    march's by rounding and by the exponential sum's 4.8e-15 relative error.
 
     Args:
         problem: The initial-value problem.
@@ -330,10 +328,10 @@ def solve(
     d_ha = problem.D * ha
     mode = start if start is not None else default_start_mode(scheme)
 
-    # A leaf no longer than `width` keeps every lag inside it in the near field.
-    width = min(_NEAR_FIELD, _LEAF_NEAR)
-    leaf = min(_LEAF, width)
-    first_leaf = -(-max(_NEAR_FIELD, _ASYM_N + 1) // leaf) * leaf
+    # A leaf sums as many lags directly as it is wide, so every lag inside
+    # it is a near one.  Only a long solve has leaves.
+    leaf = min(_NEAR_FIELD, _LEAF)
+    first_leaf = -(-max(2 * leaf, _ASYM_N + 1) // leaf) * leaf if n >= _NEAR_FIELD else n + 1
     march_end = min(n, first_leaf - 1)
 
     w = _interior_weights(scheme, alpha, n, c)
@@ -379,28 +377,27 @@ def solve(
             for j, row in enumerate(tails):
                 rhs += row[first_leaf - 2 :] * u[j]
             del tails
-            # ... then one leaf at a time: slab[i] @ u[lo - width + 1 : lo]
-            # sums the lags i + 1 .. width - 1 + i reaching step lo + i from
+            # ... then one leaf at a time: slab[i] @ u[lo - leaf + 1 : lo]
+            # sums the lags i + 1 .. leaf - 1 + i reaching step lo + i from
             # before the leaf, and tri (lambda_0 + D*h^alpha on the diagonal,
             # -gen_lam[k] on the k-th subdiagonal) carries the lags inside it.
-            slab = toeplitz(gen_lam[width - 1 : width - 1 + leaf], gen_lam[width - 1 : 0 : -1])
+            slab = toeplitz(gen_lam[leaf - 1 : 2 * leaf - 1], gen_lam[leaf - 1 : 0 : -1])
             tri = toeplitz(np.concatenate(([gen_lam[0] + d_ha], -gen_lam[1:leaf])), np.zeros(leaf))
-            # The lags from width + i on: out[i] @ state, with
-            # state = sum_{j <= lo - width} e^(-(lo - j) s) u_j, carried one
-            # leaf at a time from lo = width on, the marched steps included.
-            s, weights = _exponential_sum(scheme, alpha, width, n)
+            # The lags from leaf + i on: out[i] @ state, with
+            # state = sum_{j <= lo - leaf} e^(-(lo - j) s) u_j, summed over the
+            # march for the leaf before the first, then carried one leaf at a time.
+            s, weights = _exponential_sum(scheme, alpha, leaf, n)
             out = np.exp(-np.outer(np.arange(leaf), s)) * (-weights / norm)
-            feed = np.exp(-np.outer(s, np.arange(width + leaf - 1, width - 1, -1)))
+            feed = np.exp(-np.outer(s, np.arange(2 * leaf - 1, leaf - 1, -1)))
             decay = np.exp(-leaf * s)
-            state = np.exp(-width * s) * u[0]
-            for lo in range(width + leaf, n + 1, leaf):
-                state = decay * state + feed @ u[lo - width - leaf + 1 : lo - width + 1]
-                if lo < first_leaf:
-                    continue
+            lags = np.arange(first_leaf - leaf, leaf - 1, -1)
+            state = np.exp(-np.outer(s, lags)) @ u[: lags.size]
+            for lo in range(first_leaf, n + 1, leaf):
+                state = decay * state + feed @ u[lo - 2 * leaf + 1 : lo - leaf + 1]
                 hi = min(lo + leaf, n + 1)
                 rows = hi - lo
                 b = rhs[lo - first_leaf : hi - first_leaf] + out[:rows] @ state
-                b += slab[:rows] @ u[lo - width + 1 : lo]
+                b += slab[:rows] @ u[lo - leaf + 1 : lo]
                 # tri.T is upper triangular in Fortran order; trans=1 solves tri @ x = b.
                 u[lo:hi], info = dtrtrs(tri[:rows, :rows].T, b, lower=0, trans=1, overwrite_b=1)
                 if info:

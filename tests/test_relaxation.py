@@ -54,17 +54,13 @@ HIGH_ORDER = [
     SchemeId.Right3mAlpha,
 ]
 
-#: Near-field widths the far-field tests run under: the solver's default,
-#: which leaves these short solves on the plain march, and 16, which sends
-#: every step from 64 on through 16-step leaves, whose lags from 16 on come
-#: from exponential states.  A near field below 512 is also the leaves'
-#: direct width; the default one's leaves sum only lags below 512 directly.
+#: Near fields the far-field tests run under: the solver's default, which
+#: leaves these short solves on the plain march, and 16, which sends every
+#: step from 64 on through 16-step leaves, whose lags from 16 on come from
+#: exponential states.  A near field below the default leaf width is also
+#: the leaves' width; the default one's leaves are 128 steps wide.
 DEFAULT_NEAR_FIELD = relaxation._NEAR_FIELD
 NEAR_FIELDS = [DEFAULT_NEAR_FIELD, 16]
-
-#: First step of the leaf path at the default width: the first multiple of
-#: the 64-step leaf at or past the near field and the series crossover.
-FIRST_LEAF = 4096
 
 # E_{1,1.5}(1), mpmath mp.dps=40
 ML_ONE_ONEHALF_AT_1 = 2.290698252303238
@@ -137,7 +133,8 @@ def _leaf_matrix(scheme, alpha, damping, n):
     """The leaf's lower-triangular Toeplitz matrix, built as ``solve`` builds it."""
     lam = -_interior_weights(scheme, alpha, n, alpha_constants(alpha)) / scheme_norm(scheme, alpha)
     d_ha = damping * (1.0 / n) ** alpha
-    return scipy.linalg.toeplitz(np.concatenate(([-lam[0] + d_ha], -lam[1:64])), np.zeros(64))
+    leaf = relaxation._LEAF
+    return scipy.linalg.toeplitz(np.concatenate(([-lam[0] + d_ha], -lam[1:leaf])), np.zeros(leaf))
 
 
 class TestCatalog:
@@ -439,19 +436,19 @@ class TestSolve:
         # The blow-up reaches inf and nan; `diverged` reports it, so numpy
         # must not also warn, on the march or in the leaves.
         rows = _leaf_rows(monkeypatch)
-        runs = [
-            (-7.0, DEFAULT_NEAR_FIELD, 640),
-            (-8.0, DEFAULT_NEAR_FIELD, FIRST_LEAF),  # inf before the first leaf
-            (-7.0, 16, 640),
+        runs = [  # ..., and the step where the run first goes non-finite
+            (-7.0, DEFAULT_NEAR_FIELD, 640, 468),  # on the march
+            (-8.0, DEFAULT_NEAR_FIELD, DEFAULT_NEAR_FIELD, 2810),  # in the 128-step leaves
+            (-7.0, 16, 640, 468),  # in the 16-step leaves
         ]
-        for damping, near_field, n in runs:
+        for damping, near_field, n, first_nonfinite in runs:
             problem = equation_catalog(0.3, D=damping)[3]
             monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 result = solve(problem, SchemeId.L1, n)
             assert result.diverged
-            assert not np.all(np.isfinite(result.u))
+            assert np.flatnonzero(~np.isfinite(result.u))[0] == first_nonfinite
         assert rows  # the leaf path ran
 
     def test_march_is_the_plain_recipe_bit_for_bit(self):
@@ -497,12 +494,12 @@ class TestSolve:
     )
     def test_leaf_path_matches_plain_march(self, scheme, monkeypatch):
         # A near field wider than the grid turns leaves and far field off.
-        # At the second n leaves reach later leaves through the exponential
-        # states.  Rounding grows like n^alpha, so the gap is also gated in
-        # units of n^alpha ulps of the solution.
+        # Leaves run from step 256, and from the second on they read the
+        # exponential states.  Rounding grows like n^alpha, so the gap is
+        # also gated in units of n^alpha ulps of the solution.
         layouts = {
-            FIRST_LEAF + 2 * 64: [64, 64, 1],  # two full leaves and one step of a third
-            FIRST_LEAF + 32 * 64 + 1: [64] * 32 + [2],
+            4224: [128] * 31 + [1],  # 31 full leaves and one step of a 32nd
+            6145: [128] * 46 + [2],
         }
         rows = _leaf_rows(monkeypatch)
         for n, layout in layouts.items():
@@ -538,7 +535,7 @@ class TestSolve:
         assert rows == [1, 2, 16, 16, 1]
 
     def test_exponential_sum_against_mpmath(self):
-        # The far field's kernel for lags [512, n] at n = 40960 and 2^20, and
+        # The far field's kernel for lags [128, n] at n = 40960 and 2^20, and
         # for width 16's [16, 80]: the first 40 lags and 60 spread to the last.
         mp = pytest.importorskip("mpmath")
         formulas = {
@@ -548,7 +545,7 @@ class TestSolve:
         }
         worst = 0.0
         with mp.workdps(30):
-            for lo, hi in [(512, 40960), (512, 2**20), (16, 80)]:
+            for lo, hi in [(128, 40960), (128, 2**20), (16, 80)]:
                 spread = np.geomspace(lo, hi, 60).astype(int)
                 ks = np.unique(np.concatenate((np.arange(lo, lo + 40), spread, [hi])))
                 for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -563,15 +560,15 @@ class TestSolve:
         assert worst <= 1.1 * 4.79e-15, worst
 
     def test_no_far_field_below_the_first_leaf(self, monkeypatch):
-        # The march sums every lag directly, so a solve that ends before the
-        # first leaf builds no exponential sum; a longer one builds one, for
-        # the lags from 512 to n.
+        # The march sums every lag directly, so a solve shorter than the near
+        # field, which has no leaves, builds no exponential sum; a longer one
+        # builds one, for the lags from 128 to n.
         ranges = _exponential_sums(monkeypatch)
         problem = equation_catalog(0.5)[1]
-        solve(problem, SchemeId.L1, FIRST_LEAF - 1)
+        solve(problem, SchemeId.L1, DEFAULT_NEAR_FIELD - 1)
         assert ranges == []
-        solve(problem, SchemeId.L1, FIRST_LEAF + 64)
-        assert ranges == [(512, FIRST_LEAF + 64)]
+        solve(problem, SchemeId.L1, DEFAULT_NEAR_FIELD + 64)
+        assert ranges == [(128, DEFAULT_NEAR_FIELD + 64)]
 
     def test_narrow_march_sums_every_lag(self, monkeypatch):
         # Width 16 puts the first leaf at step 64, so the march passes the
@@ -598,15 +595,16 @@ class TestSolve:
         # The leaves call LAPACK dtrtrs on the transposed (Fortran-ordered)
         # matrix with trans=1, the call solve_triangular makes internally;
         # the two must agree bit for bit, overflow, inf and nan included.
-        tri = _leaf_matrix(scheme, 0.3, damping, FIRST_LEAF + 32 * 64 + 1)
+        leaf = relaxation._LEAF
+        tri = _leaf_matrix(scheme, 0.3, damping, 6145)
         rng = np.random.default_rng(11)
-        normal = rng.standard_normal(64)
-        big = 1e307 * np.sign(normal) * rng.uniform(0.5, 1.0, 64)  # solves overflow
+        normal = rng.standard_normal(leaf)
+        big = 1e307 * np.sign(normal) * rng.uniform(0.5, 1.0, leaf)  # solves overflow
         special = normal.copy()
-        special[rng.choice(64, 9, replace=False)] = [np.inf, -np.inf, np.nan] * 3
+        special[rng.choice(leaf, 9, replace=False)] = [np.inf, -np.inf, np.nan] * 3
         nonfinite = 0
         for b in (normal, big, special):
-            for rows in range(1, 65):
+            for rows in range(1, leaf + 1):
                 expected = scipy.linalg.solve_triangular(
                     tri[:rows, :rows], b[:rows], lower=True, check_finite=False
                 )
