@@ -436,13 +436,15 @@ class TestSolve:
         # The blow-up reaches inf and nan; `diverged` reports it, so numpy
         # must not also warn, on the march or in the leaves.
         rows = _leaf_rows(monkeypatch)
+        exp7, exp8 = equation_catalog(0.3, D=-7.0)[3], equation_catalog(0.3, D=-8.0)[3]
+        huge = RelaxationProblem(alpha=0.3, D=-8.0, forcing=lambda x: 0.0, y0=1e300)
         runs = [  # ..., and the step where the run first goes non-finite
-            (-7.0, DEFAULT_NEAR_FIELD, 640, 468),  # on the march
-            (-8.0, DEFAULT_NEAR_FIELD, DEFAULT_NEAR_FIELD, 2810),  # in the 128-step leaves
-            (-7.0, 16, 640, 468),  # in the 16-step leaves
+            (exp7, DEFAULT_NEAR_FIELD, 640, 468),  # on the march
+            (exp8, DEFAULT_NEAR_FIELD, DEFAULT_NEAR_FIELD, 2810),  # in the 128-step leaves
+            (huge, DEFAULT_NEAR_FIELD, DEFAULT_NEAR_FIELD, 70),  # before the first leaf
+            (exp7, 16, 640, 468),  # in the 16-step leaves
         ]
-        for damping, near_field, n, first_nonfinite in runs:
-            problem = equation_catalog(0.3, D=damping)[3]
+        for problem, near_field, n, first_nonfinite in runs:
             monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -494,7 +496,7 @@ class TestSolve:
     )
     def test_leaf_path_matches_plain_march(self, scheme, monkeypatch):
         # A near field wider than the grid turns leaves and far field off.
-        # Leaves run from step 256, and from the second on they read the
+        # Leaves run from step 256 and read every lag from 128 on from the
         # exponential states.  Rounding grows like n^alpha, so the gap is
         # also gated in units of n^alpha ulps of the solution.
         layouts = {
