@@ -122,19 +122,19 @@ class RelaxationProblem:
 
     Attributes:
         alpha: Fractional order of the derivative, in (0, 1).
-        D: Damping coefficient; negative values are admitted (and may
-            produce divergent numerical trajectories).
+        D: Damping coefficient, finite; negative values are admitted (and
+            may produce divergent numerical trajectories).
         forcing: Right-hand side ``F``.  It takes a float or a 1-D float
             array of points and returns a value of the same shape; a
             scalar return is broadcast over the points.  :func:`solve`
             calls it once on the whole grid ``x_2 .. x_n`` and once on the
             scalar ``h`` (the implicit start), so it must accept both.
-        y0: Initial value y(0).
-        x_end: Right endpoint of the integration interval, > 0.
+        y0: Initial value y(0), finite.
+        x_end: Right endpoint of the integration interval, finite and > 0.
         exact: Optional closed-form solution used for error reporting;
             must accept numpy arrays.
-        dy0: Optional y'(0), needed by :attr:`StartMode.TaylorStart`.
-        d2y0: Optional y''(0), needed by :attr:`StartMode.TaylorStart`.
+        dy0: Optional finite y'(0), needed by :attr:`StartMode.TaylorStart`.
+        d2y0: Optional finite y''(0), needed by :attr:`StartMode.TaylorStart`.
         label: Optional display name carried through result tables.
     """
 
@@ -151,6 +151,10 @@ class RelaxationProblem:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha!r}")
+        for name in ("D", "y0", "x_end", "dy0", "d2y0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.x_end > 0.0:
             raise ValueError(f"x_end must be positive, got {self.x_end!r}")
         if self.exact is not None:
@@ -459,14 +463,17 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
     * ``exp`` — y = e^x again but with caller-chosen damping ``D``, the
       family used to probe negative-damping behaviour.
 
-    Each forcing is assembled as exact-Caputo-derivative + D*solution, so
-    the listed function is the exact solution by construction.  The
-    forcings take a point or an array of points, and an array gives the
-    scalar values bit for bit, and so do the solutions, whatever the
-    memory layout of the array.  Powers, ``exp`` and ``cos`` are numpy's.
-    Problem I adds its four power terms in order with plain additions:
-    they are never negative, so no compensation is needed (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, §4.2).
+    Every forcing is one rule, ``F(x) = caputo(x) + D * y(x)``: the exact
+    Caputo derivative of the solution ``y`` plus ``D`` times it, so ``y``
+    is the exact solution by construction.  The forcings take a point or
+    an array of points, and an array gives the scalar values bit for bit,
+    and so do the solutions, whatever the memory layout of the array:
+    each term is an elementwise function of contiguous points, and the
+    rule only adds and multiplies them.  Powers, ``exp`` and ``cos`` are
+    numpy's.  Problem I adds its four power terms in order with plain
+    additions: they are never negative, so no compensation is needed
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, §4.2).
     """
     alpha_constants(alpha)  # validates the order once, loudly
 
@@ -482,64 +489,23 @@ def equation_catalog(alpha: float, D: float = -1.0) -> list[RelaxationProblem]:
     def cos(x):
         return np.cos(2.0 * math.pi * x)
 
-    @_elementwise
-    def poly_forcing(x):
-        return sum(exact_caputo_power(k, alpha, x) for k in range(1, 5)) + poly(x)
-
-    @_elementwise
-    def exp_unit_forcing(x):
-        return exact_caputo_exp(alpha, x) + np.exp(x)
-
-    @_elementwise
-    def cos_forcing(x):
-        return exact_caputo_cos2pix(alpha, x) + np.cos(2.0 * math.pi * x)
-
-    @_elementwise
-    def exp_damped_forcing(x):
-        return exact_caputo_exp(alpha, x) + D * np.exp(x)
-
-    return [
-        RelaxationProblem(
-            alpha=alpha,
-            D=1.0,
-            forcing=poly_forcing,
-            y0=1.0,
-            exact=poly,
-            dy0=1.0,
-            d2y0=2.0,
-            label="I",
-        ),
-        RelaxationProblem(
-            alpha=alpha,
-            D=1.0,
-            forcing=exp_unit_forcing,
-            y0=1.0,
-            exact=exp,
-            dy0=1.0,
-            d2y0=1.0,
-            label="II",
-        ),
-        RelaxationProblem(
-            alpha=alpha,
-            D=1.0,
-            forcing=cos_forcing,
-            y0=1.0,
-            exact=cos,
-            dy0=0.0,
-            d2y0=-4.0 * math.pi**2,
-            label="III",
-        ),
-        RelaxationProblem(
-            alpha=alpha,
-            D=D,
-            forcing=exp_damped_forcing,
-            y0=1.0,
-            exact=exp,
-            dy0=1.0,
-            d2y0=1.0,
-            label="exp",
-        ),
+    # The Caputo derivatives name the module's functions at call time, so a
+    # rebinding of them after this call still takes effect.
+    rows = [
+        ("I", 1.0, poly, lambda x: sum(exact_caputo_power(k, alpha, x) for k in range(1, 5)), 1.0, 2.0),
+        ("II", 1.0, exp, lambda x: exact_caputo_exp(alpha, x), 1.0, 1.0),
+        ("III", 1.0, cos, lambda x: exact_caputo_cos2pix(alpha, x), 0.0, -4.0 * math.pi**2),
+        ("exp", D, exp, lambda x: exact_caputo_exp(alpha, x), 1.0, 1.0),
     ]
+
+    # A function, so that each forcing closes over its own row.
+    def problem(label, damping, y, caputo, dy0, d2y0):
+        return RelaxationProblem(
+            alpha=alpha, D=damping, forcing=lambda x: caputo(x) + damping * y(x),
+            y0=1.0, exact=y, dy0=dy0, d2y0=d2y0, label=label,
+        )
+
+    return [problem(*row) for row in rows]
 
 
 #: Shorthand labels for scheme + start-mode pairings, as used in the bundled

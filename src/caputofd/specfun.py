@@ -172,6 +172,11 @@ def zeta(s: float) -> float:
     ``alpha + 1`` for ``alpha`` in ``(0, 1)``, so the domain is deliberately
     narrow; wider arguments raise rather than silently extrapolate.
 
+    Against mpmath on 2001 evenly spaced points of the domain (step 0.003),
+    the worst error is 2.3e-15 relative on ``(-1.9, 2)`` and 8.7e-18
+    absolute on ``(-4, -1.9]``, where the trivial zeros at -2 and -4 make a
+    relative error meaningless.
+
     Raises:
         ValueError: at the pole ``s = 1`` or outside ``(-4, 2)``.
     """
@@ -206,8 +211,10 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
     term falls below ``1e-18`` of the largest partial sum seen.  On the
     negative real axis, where that series cancels, it is
     ``scipy.special.hyp1f1(1, beta, z) / Gamma(beta)`` instead.  Worst
-    relative error against mpmath (nine betas in [0.3, 2]): 3.5e-15 on
-    [0, 50] (32002 points per beta) and 1.1e-13 on [-50, -0.25].  Non-real
+    relative error against mpmath, 100 points per beta on [-50, -0.25]
+    and 32002 on [0, 50]: 3.5e-15 on [0, 50] and 1.1e-13 on [-50, -0.25]
+    for nine betas in [0.3, 2], but 1.7e-12 on [-50, -0.25] for beta from
+    0.90 to 1.20 in steps of 0.01 (at beta = 1.01, z = -39.4).  Non-real
     ``z`` stays on the series, which cancels too, with a relative error of
     up to about 4e-16 times the ratio of the largest partial sum to the
     value.  A point whose

@@ -219,6 +219,17 @@ class TestSolve:
         assert code == 1
         assert "relax:<number>" in err
 
+    @pytest.mark.parametrize("damping", ["nan", "inf", "-inf"])
+    def test_non_finite_damping_is_usage_error(self, capsys, damping):
+        # Without the check this printed a table of NaNs, then exited 2.
+        for argv in (("solve", "--h", "0.25"), ("table", "--h0", "0.25", "--levels", "2")):
+            code, out, err = _run(
+                capsys, argv[0], "--equation", f"relax:{damping}", "--alpha", "0.5",
+                "--scheme", "l1", *argv[1:],
+            )
+            assert (code, out) == (1, "")
+            assert "D must be finite" in err
+
     def test_divergent_run_exits_two_with_data(self, capsys):
         code, out, err = _run(
             capsys, "solve", "--equation", "relax:-7", "--alpha", "0.5",

@@ -212,10 +212,30 @@ class TestCatalog:
 
     def test_exact_ignores_memory_layout(self):
         # numpy's exp may round a strided array differently from a
-        # contiguous one; a solution must not.
+        # contiguous one; a solution must not, and neither may a forcing,
+        # whose only guard is that each of its terms is elementwise.
         g = np.linspace(0.0, 1.0, 4097)
+        square = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
         for problem in equation_catalog(0.5):
-            assert problem.exact(g[::-1]).tobytes() == problem.exact(g)[::-1].tobytes(), problem.label
+            for fn in (problem.exact, problem.forcing):
+                assert fn(g[::-1]).tobytes() == fn(g)[::-1].tobytes(), problem.label
+                assert fn(square).tobytes() == fn(square.ravel()).tobytes(), problem.label
+                assert fn(square.T).tobytes() == fn(square).T.tobytes(), problem.label
+
+    def test_forcing_reads_the_module_derivatives_at_call_time(self, monkeypatch):
+        """A rebinding of ``relaxation.exact_caputo_cos2pix`` after the catalog
+        is built reaches III's forcing, as a tracer that wraps it needs."""
+        eq3 = equation_catalog(0.5)[2]
+        calls = []
+
+        def spy(alpha, x):
+            calls.append(alpha)
+            return exact_caputo_cos2pix(alpha, x)
+
+        monkeypatch.setattr(relaxation, "exact_caputo_cos2pix", spy)
+        value = eq3.forcing(0.25)
+        assert calls == [0.5]
+        assert value == exact_caputo_cos2pix(0.5, 0.25) + eq3.exact(0.25)
 
 
 class TestProblemValidation:
@@ -235,6 +255,15 @@ class TestProblemValidation:
     def test_order_in_range(self):
         with pytest.raises(ValueError):
             RelaxationProblem(alpha=1.2, D=1.0, forcing=lambda x: 0.0, y0=0.0)
+
+    @pytest.mark.parametrize("field", ["D", "y0", "x_end", "dy0", "d2y0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        # x_end = inf once passed, and a nan or infinite D, y0, dy0 or d2y0
+        # marched a table of NaNs instead of failing.
+        fields = dict(alpha=0.5, D=1.0, forcing=lambda x: 0.0, y0=0.0, dy0=0.0, d2y0=0.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RelaxationProblem(**{**fields, field: value})
 
 
 class TestFirstStep:
