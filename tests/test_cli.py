@@ -221,7 +221,6 @@ class TestSolve:
 
     @pytest.mark.parametrize("damping", ["nan", "inf", "-inf"])
     def test_non_finite_damping_is_usage_error(self, capsys, damping):
-        # Without the check this printed a table of NaNs, then exited 2.
         for argv in (("solve", "--h", "0.25"), ("table", "--h0", "0.25", "--levels", "2")):
             code, out, err = _run(
                 capsys, argv[0], "--equation", f"relax:{damping}", "--alpha", "0.5",

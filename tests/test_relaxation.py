@@ -259,8 +259,6 @@ class TestProblemValidation:
     @pytest.mark.parametrize("field", ["D", "y0", "x_end", "dy0", "d2y0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_fields_rejected(self, field, value):
-        # x_end = inf once passed, and a nan or infinite D, y0, dy0 or d2y0
-        # marched a table of NaNs instead of failing.
         fields = dict(alpha=0.5, D=1.0, forcing=lambda x: 0.0, y0=0.0, dy0=0.0, d2y0=0.0)
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             RelaxationProblem(**{**fields, field: value})
