@@ -8,6 +8,8 @@ Measures the sources under ``src/`` beside this script, in fresh processes
 of each item:
 
 * ``import``: ``import caputofd``, timed inside the process;
+* ``cli_weights``: one whole ``caputofd weights --scheme l1 --alpha 0.5
+  --n 2`` process, what a CLI call that solves nothing pays;
 * ``cli_golden_table1``: one whole ``caputofd golden --table 1`` process;
 * ``solve_II_Right3mAlpha_<n>``: in-process ``solve`` of problem II
   (alpha 0.5) with Right3mAlpha at n = 40960 and 2^20, one process per
@@ -17,14 +19,18 @@ of each item:
   measuring), its last line's metrics;
 * ``perfbench_<workload>_trace``: the ``TRACED`` per-layer metrics of one
   unrepeated ``perfbench/run.py --trace 1`` run of each workload, same
-  settings: where a pass's time goes, not how long it takes.
+  settings: where a pass's time goes, not how long it takes;
+* ``tier1``: the wall time of one unrepeated run of the Tier-1 suite
+  (``pytest -q --continue-on-collection-errors``) in each tree, after
+  everything else, with its summary line.
 
 Every process gets its own empty ``PYTHONPYCACHEPREFIX``, so no run reads
 bytecode another left behind (a warm ``src/caputofd/__pycache__`` alone
 moves perfbench's ``setup_s``); numpy and scipy compile in every process
-too, so these figures are cold starts.  Each item records the median and
-min of its repeats.  The settings are constants, so every BENCH file of the
-trajectory is measured alike.  The file goes to the repository root.
+too, so these figures are cold starts.  Each repeated item records the
+median and min of its repeats.  The settings are constants, so every BENCH
+file of the trajectory is measured alike.  The file goes to the repository
+root.
 
 ``--against REV`` measures a git revision of this repository in the same
 invocation, extracted with ``git archive`` into a temporary directory.
@@ -54,7 +60,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-REPEATS = 5
+REPEATS = 10
 PERFBENCH_SECONDS = 6.0
 SEED = 1
 TRACED = (
@@ -94,13 +100,13 @@ print(json.dumps({"seconds": seconds, "peak_rss_mb": rss}))
 """
 
 
-def run(root: Path, cmd: list[str]) -> tuple[float, str]:
+def run(root: Path, cmd: list[str], check: bool = True) -> tuple[float, str]:
     """Run ``cmd`` from the tree ``root`` on its ``src/``, with a fresh bytecode cache; wall seconds and stdout."""
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=cache, **THREAD_PINS)
         start = time.perf_counter()
         out = subprocess.run(cmd, env=env, cwd=root, stdout=subprocess.PIPE,
-                             stderr=subprocess.DEVNULL, text=True, check=True)
+                             stderr=subprocess.DEVNULL, text=True, check=check)
         return time.perf_counter() - start, out.stdout
 
 
@@ -199,10 +205,11 @@ def main(argv=None) -> int:
         for per_tree, runs in zip(items, repeated(roots, [py, "-c", IMPORT],
                                                   lambda wall, out: float(out))):
             per_tree["import"] = {"unit": "s", **summary(runs)}
-        golden = repeated(roots, [py, "-m", "caputofd.cli", "golden", "--table", "1"],
-                          lambda wall, out: wall)
-        for per_tree, runs in zip(items, golden):
-            per_tree["cli_golden_table1"] = {"unit": "s", **summary(runs)}
+        for name, argv in (("cli_weights", ["weights", "--scheme", "l1", "--alpha", "0.5", "--n", "2"]),
+                           ("cli_golden_table1", ["golden", "--table", "1"])):
+            walls = repeated(roots, [py, "-m", "caputofd.cli", *argv], lambda wall, out: wall)
+            for per_tree, runs in zip(items, walls):
+                per_tree[name] = {"unit": "s", **summary(runs)}
         for n in (40960, 2**20):
             solves = repeated(roots, [py, "-c", SOLVE, str(n)], lambda wall, out: json.loads(out))
             for per_tree, results in zip(items, solves):
@@ -227,6 +234,11 @@ def main(argv=None) -> int:
                 per_tree[f"perfbench_{workload}_trace"] = {
                     "seed": SEED, "seconds": PERFBENCH_SECONDS, "correct": traced["correct"],
                     **{name: traced["metrics"][name] for name in TRACED}}
+        for per_tree, root in reversed(list(zip(items, roots))):
+            wall, out = run(root, [py, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                            check=False)
+            per_tree["tier1"] = {"unit": "s", "seconds": wall,
+                                 "summary": (out.strip().splitlines() or [""])[-1]}
 
     if len(reports) == 2:
         count_pairs(*items)

@@ -33,10 +33,10 @@ one LAPACK ``trtrs`` call on its lower-triangular Toeplitz matrix carries
 those inside it.  Every family's interior weight is a Laplace transform in
 the lag, so the lags from ``_LEAF`` on are a short sum of exponentials
 (Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys. 21, 2017): N of about
-190 decaying states, advanced once per leaf.  Of scipy, only
-``scipy.linalg`` loads with this module.  The recurrence stays causal, so
-every damping, divergent runs included, costs a long solve
-O(256^2 + n * (128 + N)).
+190 decaying states, advanced once per leaf.  Importing this module loads
+no scipy; ``scipy.linalg`` loads at the first :func:`solve`.  The
+recurrence stays causal, so every damping, divergent runs included, costs
+a long solve O(256^2 + n * (128 + N)).
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dtrtrs
 
 from .caputo import exact_caputo_cos2pix, exact_caputo_exp, exact_caputo_power
 from .schemes import (
@@ -324,6 +321,11 @@ def solve(
     """
     if n < 2:
         raise ValueError(f"need at least two steps, got n={n!r}")
+    # here, not at import: of the package, only the solver needs scipy.linalg
+    from scipy.linalg import toeplitz
+    from scipy.linalg.blas import ddot
+    from scipy.linalg.lapack import dtrtrs
+
     alpha = problem.alpha
     c = alpha_constants(alpha)
     norm = scheme_norm(scheme, alpha)

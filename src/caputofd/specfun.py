@@ -43,21 +43,27 @@ def _elementwise(fn):
     complex) and contiguous, since numpy's ``power`` and ``exp`` may round
     a strided array differently from a contiguous one; the result comes
     back in the argument's shape, and a scalar argument gets a Python
-    scalar back.  Arguments bind by name as in a plain call.
+    scalar back.  Arguments bind by name as in a plain call: the points'
+    position is found once, here, and every other argument reaches ``fn``
+    as given.
     """
-    sig = inspect.signature(fn)
-    point = [
-        name for name, par in sig.parameters.items()
-        if par.kind is par.POSITIONAL_OR_KEYWORD
-    ][-1]
+    params = list(inspect.signature(fn).parameters.values())
+    pos = max(i for i, par in enumerate(params) if par.kind is par.POSITIONAL_OR_KEYWORD)
+    point = params[pos].name
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        arr = np.asarray(bound.arguments[point])
+        if len(args) > pos:
+            args = list(args)
+            given, key = args, pos
+        elif point in kwargs:
+            given, key = kwargs, point
+        else:
+            raise TypeError(f"{fn.__name__}() missing required argument: {point!r}")
+        arr = np.asarray(given[key])
         arr = arr.astype(np.result_type(arr, np.float64), order="C", copy=False)
-        bound.arguments[point] = arr.reshape(-1)
-        out = np.asarray(fn(*bound.args, **bound.kwargs)).reshape(arr.shape)
+        given[key] = arr.reshape(-1)
+        out = np.asarray(fn(*args, **kwargs)).reshape(arr.shape)
         return out.item() if out.ndim == 0 else out
 
     return wrapper

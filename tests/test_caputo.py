@@ -321,7 +321,8 @@ def test_exact_derivative_array_validation(name, bad):
 
 
 def test_exact_derivative_keyword_arguments():
-    """Arguments bind by name as in a plain call, for scalars and arrays."""
+    """Arguments bind by name as in a plain call, for scalars and arrays; a
+    missing, doubled or extra argument raises ``TypeError``."""
     assert exact_caputo_power(1.0, 0.5, x=2.0) == exact_caputo_power(1.0, 0.5, 2.0)
     assert np.array_equal(
         exact_caputo_power(p=2.0, alpha=0.5, x=UNIT_GRID), exact_caputo_power(2.0, 0.5, UNIT_GRID)
@@ -330,6 +331,10 @@ def test_exact_derivative_keyword_arguments():
     assert np.array_equal(
         exact_caputo_cos2pix(0.3, x=UNIT_GRID), exact_caputo_cos2pix(0.3, UNIT_GRID)
     )
+    for bad in (lambda: exact_caputo_power(1.0, 0.5), lambda: exact_caputo_exp(alpha=0.3),
+                lambda: exact_caputo_exp(0.3, 0.7, x=0.7), lambda: exact_caputo_exp(0.3, 0.7, 0.7)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_sample_path_layout():
@@ -492,17 +497,24 @@ def test_quadrature_matches_exp():
 
 
 def test_import_loads_no_quadrature_stack():
-    """``import caputofd`` leaves scipy's quadrature, special functions and FFT unloaded.
+    """``import caputofd`` loads no scipy; the first ``solve`` loads ``scipy.linalg`` alone.
 
-    ``caputo_quadrature`` imports ``scipy.integrate`` on its first call and
-    still gives ``E_{1,3/2}(1)``, the Caputo derivative of order 1/2 of
-    ``e^x`` at 1 (mpmath, 40 digits).
+    ``scipy.linalg`` loads with the first ``solve``, and scipy's quadrature,
+    special functions and FFT stay unloaded.  ``caputo_quadrature`` imports
+    ``scipy.integrate`` on its first call and still gives ``E_{1,3/2}(1)``,
+    the Caputo derivative of order 1/2 of ``e^x`` at 1 (mpmath, 40 digits).
+    A ``caputofd weights`` call, which solves nothing, loads no scipy.
     """
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
         "import math, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import caputofd\n"
+        "print(scipy_modules())\n"
+        "caputofd.solve(caputofd.equation_catalog(0.5)[1], caputofd.SchemeId.L1, 8)\n"
+        "print('scipy.linalg' in sys.modules)\n"
         "print([m for m in ('scipy.integrate', 'scipy.special', 'scipy.fft') if m in sys.modules])\n"
         "print(repr(caputofd.caputo_quadrature(math.exp, 0.5, 1.0, 1e-12)))\n"
     )
@@ -510,7 +522,20 @@ def test_import_loads_no_quadrature_stack():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert out[0] == "[]"
-    assert float(out[1]) == pytest.approx(2.290698252303238, rel=1e-12)
+    assert out[1] == "True"
+    assert out[2] == "[]"
+    assert float(out[3]) == pytest.approx(2.290698252303238, rel=1e-12)
+
+    cli = (
+        "import sys\n"
+        "from caputofd.cli import run\n"
+        "code = run(['weights', '--scheme', 'l1', '--alpha', '0.5', '--n', '2'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", cli], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[-1] == "0 []"
 
 
 def test_quadrature_validation():

@@ -107,12 +107,14 @@ def _march_recipe(problem, scheme, n):
 def _leaf_rows(monkeypatch):
     """Row counts of the leaf solves that ``solve`` runs from now on."""
     rows = []
+    dtrtrs = scipy.linalg.lapack.dtrtrs
 
     def spy(a, b, **kwargs):
         rows.append(len(b))
-        return scipy.linalg.lapack.dtrtrs(a, b, **kwargs)
+        return dtrtrs(a, b, **kwargs)
 
-    monkeypatch.setattr(relaxation, "dtrtrs", spy)
+    # solve imports dtrtrs from scipy.linalg.lapack on each call.
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", spy)
     return rows
 
 
@@ -610,7 +612,7 @@ class TestSolve:
             lengths.append(n)
             return ddot(x, y, n, *args)
 
-        monkeypatch.setattr(relaxation, "ddot", spy)
+        monkeypatch.setattr(scipy.linalg.blas, "ddot", spy)
         ranges = _exponential_sums(monkeypatch)
         solve(equation_catalog(0.5)[1], SchemeId.L1, 300)
         assert lengths == list(range(3, 64))
@@ -637,7 +639,7 @@ class TestSolve:
                 expected = scipy.linalg.solve_triangular(
                     tri[:rows, :rows], b[:rows], lower=True, check_finite=False
                 )
-                got, info = relaxation.dtrtrs(
+                got, info = scipy.linalg.lapack.dtrtrs(
                     tri[:rows, :rows].T, b[:rows].copy(), lower=0, trans=1, overwrite_b=1
                 )
                 assert info == 0
