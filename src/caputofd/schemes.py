@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import AlphaConstants, _em_tail, _exact_sum, alpha_constants
+from .specfun import AlphaConstants, _em_tail, alpha_constants
 
 #: Largest n for which the deficit closed forms are evaluated directly.
 _ASYM_N = 50
@@ -449,22 +449,31 @@ def validate_weights(wv: WeightVector) -> PropertyReport:
     alpha ~ 0.32, so only its first two head signs are claimed.  Properties
     that do not apply are reported with ``applicable=False`` rather than
     silently skipped.
+
+    The two sums are numpy's, checked in eps = 2^-52: ``sum_zero`` allows
+    ``|sum w| <= 1024 eps max|w|`` and ``linear_moment`` allows
+    ``|sum k w_k - target| <= 64 eps max(|target|, 1)``; each detail gives
+    the deviation in those units.  numpy's pairwise rounding, about
+    ``log2(n) eps sum|w|`` (Higham 2002, §4.2), measures under 1 eps.  The
+    worst over 10 schemes, 23 alpha in [0.001, 0.999] and n from 2 to 65536
+    (and 2^20 at alpha 0.001, 0.5, 0.999) is 25.0 eps for the moment (L1,
+    alpha 0.99, n = 61) and 11.0 eps for the sum at alpha >= 0.01, but 494.6
+    in the right-sum family at alpha 0.001, where the correctly rounded sum
+    reads 494.5.  The weights cause that case: ``w_0`` reads zeta at
+    ``fl(1 + alpha)``, past m = 50 ``S_m[1+alpha]`` reads the
+    Euler-Maclaurin series at the exact alpha, and near the pole the two
+    are 1.1e-13 relative apart at alpha 0.001 (against mpmath at m = 51, 56
+    and 4096), within 1e-15 from alpha 0.01 on.
     """
     scheme, alpha, n = wv.scheme, wv.alpha, wv.n
     w = wv.weights
     v = w if wv.norm > 0 else -w  # oriented: positive leading weight expected
     checks: list[PropertyCheck] = []
+    eps = np.finfo(float).eps
 
-    total = _exact_sum(w)
-    scale = float(np.max(np.abs(w)))
-    checks.append(
-        PropertyCheck(
-            "sum_zero",
-            True,
-            abs(total) <= 1e-10 * scale,
-            f"|sum w| = {abs(total):.3e}",
-        )
-    )
+    # tiny keeps an all-zero stencil at 0 eps rather than 0/0
+    dev = abs(float(w.sum())) / max(eps * float(np.max(np.abs(w))), np.finfo(float).tiny)
+    checks.append(PropertyCheck("sum_zero", True, dev <= 1024, f"|sum w| = {dev:.1f} eps*max|w| (allowed 1024)"))
 
     corrected = scheme not in (SchemeId.MidLow, SchemeId.MidRaw, SchemeId.RightLow, SchemeId.RightRaw)
     if corrected:
@@ -472,13 +481,14 @@ def validate_weights(wv: WeightVector) -> PropertyReport:
         # sum k*w_k = -n^(1-alpha) * C / Gamma(2-alpha).
         c = alpha_constants(alpha)
         target = -float(n) ** (1.0 - alpha) * wv.norm / c.gamma_2ma
-        moment = _exact_sum(np.arange(1, n + 1) * w[1:])
+        moment = float((np.arange(1, n + 1) * w[1:]).sum())
+        dev = abs(moment - target) / (eps * max(abs(target), 1.0))
         checks.append(
             PropertyCheck(
                 "linear_moment",
                 True,
-                abs(moment - target) <= 1e-9 * max(abs(target), 1.0),
-                f"sum k*w_k = {moment:.15g}, target {target:.15g}",
+                dev <= 64,
+                f"|sum k*w_k - target| = {dev:.1f} eps*max(|target|,1) (allowed 64), target {target:.15g}",
             )
         )
     else:
@@ -532,18 +542,6 @@ def validate_weights(wv: WeightVector) -> PropertyReport:
         )
     else:
         checks.append(PropertyCheck("sign_pattern", False, None, "no claims for uncorrected schemes"))
-
-    if scheme is SchemeId.L1:
-        # First moment has the exact closed value -n^(1-alpha).
-        target = -float(n) ** (1.0 - alpha)
-        checks.append(
-            PropertyCheck(
-                "first_moment",
-                True,
-                abs(moment - target) <= 1e-10 * abs(target),
-                f"sum k*w_k = {moment:.15g}",
-            )
-        )
 
     if scheme is SchemeId.Mid2mAlpha:
         if n >= 3:

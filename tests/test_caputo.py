@@ -25,9 +25,8 @@ from caputofd import (
     gamma,
     mittag_leffler_1,
     sample_path,
-    validate_weights,
 )
-from caputofd import caputo, schemes
+from caputofd import caputo
 
 CATALOG_NAMES = {
     "t",
@@ -395,9 +394,9 @@ def _fsum_of_list(a):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 64, 1025, 65536])
-def test_stencil_sums_are_the_fsum_recipes(n, monkeypatch):
-    """apply_stencil's value and every validate_weights check are the old
-    ``math.fsum(....tolist())`` results bit for bit."""
+def test_stencil_sums_are_the_fsum_recipes(n):
+    """apply_stencil's value is the old ``math.fsum(....tolist())`` result
+    bit for bit."""
     cat = function_catalog()
     paths = [sample_path(cat[name], 1.0, n) for name in ("exp", "cos2pi", "arctan", "log1p")]
     for scheme in SchemeId:
@@ -406,13 +405,6 @@ def test_stencil_sums_are_the_fsum_recipes(n, monkeypatch):
             for path in paths:
                 old = math.fsum((wv.weights * path.values).tolist()) / (wv.norm * path.h**alpha)
                 assert float.hex(apply_stencil(wv, path)) == float.hex(old)
-            new = validate_weights(wv)
-            with monkeypatch.context() as m:
-                m.setattr(schemes, "_exact_sum", _fsum_of_list)
-                recipe = validate_weights(wv)
-            assert [(c.name, c.passed, c.detail) for c in new.checks] == [
-                (c.name, c.passed, c.detail) for c in recipe.checks
-            ]
 
 
 def test_fourth_order_sum_is_the_fsum_recipe(monkeypatch):

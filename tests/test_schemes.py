@@ -6,7 +6,9 @@ so these tests catch any drift in either.  Deficit reference values come from
 mpmath at 40 digits.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -655,6 +657,55 @@ def test_stencil_properties_hold(scheme, alpha, n):
     assert report.all_passed, [
         (c.name, c.detail) for c in report.failures()
     ]
+
+
+_UNCORRECTED = (SchemeId.MidLow, SchemeId.MidRaw, SchemeId.RightLow, SchemeId.RightRaw)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_property_checks_see_a_1e12_defect(scheme):
+    """A weight defect of 1e-12 fails the check that covers it.
+
+    Adding ``1e-12 max|w|`` to ``w_n`` fails ``sum_zero`` (4504 eps against
+    the allowed 1024).  Moving ``1e-12 |target| / n`` from ``w_0`` to
+    ``w_n`` keeps the sum and puts the linear moment off by 1e-12 relative,
+    which fails ``linear_moment`` alone (4504 eps against 64).
+    """
+    alpha, n = 0.5, 64
+    wv = build_weights(scheme, alpha, n)
+    assert validate_weights(wv).all_passed
+
+    def failed(w):
+        return {c.name: c.detail for c in validate_weights(dataclasses.replace(wv, weights=w)).failures()}
+
+    w = wv.weights.copy()
+    w[n] += 1e-12 * np.max(np.abs(w))
+    detail = failed(w)["sum_zero"]
+    m = re.fullmatch(r"\|sum w\| = (\S+) eps\*max\|w\| \(allowed 1024\)", detail)
+    assert m and float(m.group(1)) == pytest.approx(1e-12 / np.finfo(float).eps, rel=1e-3), detail
+    if scheme in _UNCORRECTED:
+        return
+    target = -(float(n) ** (1.0 - alpha)) * wv.norm / alpha_constants(alpha).gamma_2ma
+    shift = 1e-12 * abs(target) / n
+    w = wv.weights.copy()
+    w[n] += shift
+    w[0] -= shift
+    assert list(failed(w)) == ["linear_moment"]
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_stencil_properties_hold_at_extreme_orders(scheme):
+    """Every check passes at alpha 0.001 and 0.999 for n from 2 to 64, 4096
+    and 65536, and for the right-sum family at alpha 0.001 and n = 2^20,
+    whose zero sums read up to 494.6 eps of the allowed 1024."""
+    cases = [(a, n) for a in (0.001, 0.999) for n in [*range(2, 65), 4096, 65536]]
+    if scheme.value.startswith("right"):
+        cases.append((0.001, 2**20))
+    failures = []
+    for alpha, n in cases:
+        report = validate_weights(build_weights(scheme, alpha, n))
+        failures += [(alpha, n, c.name, c.detail) for c in report.failures()]
+    assert not failures
 
 
 @given(
