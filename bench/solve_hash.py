@@ -9,7 +9,7 @@ covers the raw bytes of every ``SolveResult.u`` in turn, so it changes when
 any value of any step moves by a bit: a change that claims to leave the
 solver's output bit for bit must leave this hash as it was.  The grid sizes
 straddle the near field (4096): 4095 is the plain march, and the longer
-solves run leaves and their far field from step 256.  D = -5 keeps exp on a
+solves have no march: they run leaves and their far field from step 3.  D = -5 keeps exp on a
 growing solution whose rounding is amplified.
 """
 

@@ -20,23 +20,22 @@ tail deltas computed once for every step count.  The delta at index
 ``m - j`` multiplies ``u_j``, so each step adds at most three tail terms
 in ``u_0``, ``u_1`` and ``u_2`` to its history sum.  How a tail
 coefficient is computed is left to :mod:`caputofd.schemes`; the solver
-only names its last marched step, up to which the harmonic deficit
-``S_m[1+alpha]`` comes from the running compensated table (the leaves, all
-past ``_ASYM_N``, read the Euler-Maclaurin expansion).
+only names the last step whose harmonic deficit ``S_m[1+alpha]`` comes
+from the running compensated table: the march's last, or ``_ASYM_N`` in a
+long solve, whose later steps read the Euler-Maclaurin expansion.
 
 Solves shorter than ``_NEAR_FIELD`` steps are marched one at a time, each
-step summing every lag with one BLAS ``ddot``.  A longer solve marches only
-to its first leaf, step 256 (the first multiple of ``_LEAF`` at or past two
-leaves and the series crossover), and solves every later step in leaves of
-``_LEAF``.  Each leaf sums the ``_LEAF - 1`` lags before it directly, and
-one LAPACK ``trtrs`` call on its lower-triangular Toeplitz matrix carries
-those inside it.  Every family's interior weight is a Laplace transform in
-the lag, so the lags from ``_LEAF`` on are a short sum of exponentials
-(Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys. 21, 2017): N of about
-190 decaying states, advanced once per leaf.  Importing this module loads
-no scipy; ``scipy.linalg`` loads at the first :func:`solve`.  The
-recurrence stays causal, so every damping, divergent runs included, costs
-a long solve O(256^2 + n * (128 + N)).
+step summing every lag with one BLAS ``ddot``.  A longer solve has no
+march: it solves every step from 3 on in leaves of ``_LEAF``.  Each leaf
+sums the ``_LEAF - 1`` lags before it directly, and one product with the
+inverse of its lower-triangular Toeplitz matrix carries those inside it.
+Every family's interior weight is a Laplace transform in the lag, so the
+lags from ``_LEAF`` on are a short sum of exponentials (Jiang, Zhang, Zhang
+and Zhang, Commun. Comput. Phys. 21, 2017): N of about 190 decaying
+states, advanced once per leaf.  Importing this module loads no scipy;
+``scipy.linalg`` loads at the first march, so a process whose solves are
+all long loads none.  The recurrence stays causal, so every damping,
+divergent runs included, costs a long solve O(n * (128 + N)).
 """
 
 from __future__ import annotations
@@ -79,13 +78,13 @@ __all__ = [
 _DIVERGENCE_LIMIT = 1e30
 
 #: Solves shorter than this are the plain march, bit for bit: every step
-#: sums every lag directly.  A longer one marches only to its first leaf.
+#: sums every lag directly.  A longer one has no march: it runs leaves from
+#: step 3 on.
 _NEAR_FIELD = 4096
 
-#: Leaves are this many steps wide (at most ``_NEAR_FIELD``), from the first
-#: multiple of the width at or past two leaves and ``_ASYM_N`` on.  A leaf
-#: sums the lags below its width directly, at O(width) per step, and the
-#: older ones from exponential states, at O(N).
+#: Leaves are this many steps wide (at most ``_NEAR_FIELD``).  A leaf sums
+#: the lags below its width directly, at O(width) per step, and the older
+#: ones from exponential states, at O(N).
 _LEAF = 128
 
 
@@ -214,6 +213,19 @@ def _exponential_sum(scheme: SchemeId, alpha: float, lo: int, hi: int) -> tuple[
     return s, tau * s**beta * g / math.gamma(beta)
 
 
+def _leaf_inverse(col: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular Toeplitz matrix with first column ``col``.
+
+    It is lower-triangular Toeplitz too; forward recursion on ``col * inv = e_0``
+    gives its first column.
+    """
+    k = np.arange(col.size)
+    inv = np.zeros(col.size)
+    for i in k:
+        inv[i] = (float(i == 0) - col[i:0:-1] @ inv[:i]) / col[0]
+    return np.tril(inv[np.subtract.outer(k, k)])
+
+
 def default_start_mode(scheme: SchemeId) -> StartMode:
     """Starting formula that preserves each scheme's nominal order.
 
@@ -290,17 +302,18 @@ def solve(
     A solve shorter than 4096 steps is marched one step at a time, each step
     summing its whole history ``sum_{k=1..m} lambda_k * u_{m-k}`` with one
     offset BLAS ``ddot`` into a newest-first buffer: no slice view, copy or
-    numpy dispatch per step.  A longer solve marches only to step 255, then
-    solves 128 steps at a time, by one LAPACK ``dtrtrs`` call on the leaf's
-    lower-triangular Toeplitz matrix, after one product with a ``128 x 127``
+    numpy dispatch per step.  A longer solve has no march: from step 3 on it
+    solves 128 steps at a time, by one product with the inverse of the
+    leaf's lower-triangular Toeplitz matrix, after one with a ``128 x 127``
     Toeplitz block of the weights for the lags below 128 from before the
     leaf, and one with N exponential states (:func:`_exponential_sum`,
-    N = 186 at n = 40960) for the older ones.  The states advance once per
-    leaf, by one ``N x 128`` product.  The forcing and the tail deltas of
-    every step count are computed once, up front; at step 2 a third delta
-    lands on ``lambda_0``.  The recurrence stays causal for any ``D``, at
-    O(256^2 + n * (128 + N)).  In the leaves the sums differ from the plain
-    march's by rounding and by the exponential sum's 4.8e-15 relative error.
+    N = 186 at n = 40960) for the older ones.  The states start at zero, as
+    the padded history before ``u_0`` is, and advance once per leaf.  The
+    forcing and the tail deltas of every step count are computed once, up
+    front; at step 2 a third delta lands on ``lambda_0``.  The recurrence
+    stays causal for any ``D``, at O(n * (128 + N)).  In the leaves the sums
+    differ from the plain march's by rounding, by the exponential sum's
+    4.8e-15 relative error, and by ``S_m[1+alpha]`` from the series past 50.
 
     Args:
         problem: The initial-value problem.
@@ -321,10 +334,6 @@ def solve(
     """
     if n < 2:
         raise ValueError(f"need at least two steps, got n={n!r}")
-    # here, not at import: of the package, only the solver needs scipy.linalg
-    from scipy.linalg import toeplitz
-    from scipy.linalg.blas import ddot
-    from scipy.linalg.lapack import dtrtrs
 
     alpha = problem.alpha
     c = alpha_constants(alpha)
@@ -335,23 +344,24 @@ def solve(
     mode = start if start is not None else default_start_mode(scheme)
 
     # A leaf sums as many lags directly as it is wide, so every lag inside
-    # it is a near one.  Only a long solve has leaves.
+    # it is a near one.  Only a long solve has leaves, and no march.
     leaf = min(_NEAR_FIELD, _LEAF)
-    first_leaf = -(-max(2 * leaf, _ASYM_N + 1) // leaf) * leaf if n >= _NEAR_FIELD else n + 1
-    march_end = min(n, first_leaf - 1)
+    marched = n < _NEAR_FIELD
 
-    w = _interior_weights(scheme, alpha, n, c)
+    w = _interior_weights(scheme, alpha, max(n, 2 * leaf), c)  # a slab's lags past n meet padding
 
-    rev = np.empty(n + 1)
-    u = rev[::-1]  # newest first: step m's history u[m-1::-1] is rev[n-m+1:]
+    # The march's u is newest first: step m's history u[m-1::-1] is buf[n-m+1:].
+    # The leaves' has 2 * leaf zeros before u_0: u_j is buf[2 * leaf + j].
+    buf = np.zeros(n + 1 if marched else 2 * leaf + n + 1)
+    u = buf[::-1] if marched else buf[2 * leaf :]
     u[0] = problem.y0
     u[1] = first_step(problem, h, mode)
     forcing = _forcing_on_grid(problem.forcing, h, n)
     # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.
     # Built after the forcing and freed once the leaves have them, so that
     # none meets the forcing's temporaries, which set a long solve's peak
-    # memory.  The march reads S_m[1+alpha] from the running table.
-    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), w, march_end)]
+    # memory.  S_m[1+alpha] comes from the running table on the march only.
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), w, n if marched else _ASYM_N)]
     gen_lam = np.divide(w, -norm, out=w)  # lambda_k in w's memory
     gen_lam[0] = -gen_lam[0]
     # Step 2 reads its tail terms as stencil weights; a third delta lands
@@ -368,46 +378,45 @@ def solve(
     with np.errstate(over="ignore", invalid="ignore"):
         history = (gen_lam[1] + t[1]) * u[1] + (gen_lam[2] + t[0]) * u[0]
         u[2] = (ha * forcing[0] + history) / (lam0_2 + d_ha)
-        steps = [range(3, march_end + 1), (ha * forcing[1 : march_end - 1]).tolist()]
-        steps += [(row[1 : march_end - 1] * u[j]).tolist() for j, row in enumerate(tails)]
-        steps += [[0.0] * (march_end - 2)] * (3 - len(tails))
-        for m, f, p0, p1, p2 in zip(*steps):
-            history = ddot(gen_lam, rev, m, 1, 1, n - m + 1)
-            # Left to right, one term at a time; a missing delta's +0.0 is exact on a dot's sum.
-            rev[n - m] = (f + (history + p0 + p1 + p2)) / den
-        u = u.copy()  # contiguous for the leaves' products
-
-        if n >= first_leaf:
-            # Steps past the march: forcing and tail terms for all of them ...
-            rhs = ha * forcing[first_leaf - 2 :]
+        if marched:
+            from scipy.linalg.blas import ddot  # here: of the package, only the march needs scipy
+            steps = [range(3, n + 1), (ha * forcing[1:]).tolist()]
+            steps += [(row[1:] * u[j]).tolist() for j, row in enumerate(tails)]
+            steps += [[0.0] * (n - 2)] * (3 - len(tails))
+            for m, f, p0, p1, p2 in zip(*steps):
+                history = ddot(gen_lam, buf, m, 1, 1, n - m + 1)
+                # Left to right, one term at a time; a missing delta's +0.0 is exact on a dot's sum.
+                buf[n - m] = (f + (history + p0 + p1 + p2)) / den
+        else:
+            # Every step from 3: forcing and tail terms for all of them ...
+            rhs = ha * forcing[1:]
             for j, row in enumerate(tails):
-                rhs += row[first_leaf - 2 :] * u[j]
+                rhs += row[1:] * u[j]
             del tails
             # ... then one leaf at a time: slab[i] @ u[lo - leaf + 1 : lo]
             # sums the lags i + 1 .. leaf - 1 + i reaching step lo + i from
-            # before the leaf, and tri (lambda_0 + D*h^alpha on the diagonal,
-            # -gen_lam[k] on the k-th subdiagonal) carries the lags inside it.
-            slab = toeplitz(gen_lam[leaf - 1 : 2 * leaf - 1], gen_lam[leaf - 1 : 0 : -1])
-            tri = toeplitz(np.concatenate(([gen_lam[0] + d_ha], -gen_lam[1:leaf])), np.zeros(leaf))
+            # before the leaf, and tinv, the inverse of the leaf's matrix
+            # (den on the diagonal, -gen_lam[k] on the k-th subdiagonal),
+            # carries the lags inside it.
+            k = np.arange(leaf)
+            slab = gen_lam[leaf - 1 + np.subtract.outer(k, k[:-1])]
+            tinv = _leaf_inverse(np.concatenate(([den], -gen_lam[1:leaf])))
             # The lags from leaf + i on: out[i] @ state, with
-            # state = sum_{j <= lo - leaf} e^(-(lo - j) s) u_j, summed over the
-            # march for the leaf before the first, then carried one leaf at a time.
+            # state = sum_{j <= lo - leaf} e^(-(lo - j) s) u_j, carried one
+            # leaf at a time from zero, as the padding before u_0 is.
             s, weights = _exponential_sum(scheme, alpha, leaf, n)
-            out = np.exp(-np.outer(np.arange(leaf), s)) * (-weights / norm)
+            out = np.exp(-np.outer(k, s)) * (-weights / norm)
             feed = np.exp(-np.outer(s, np.arange(2 * leaf - 1, leaf - 1, -1)))
             decay = np.exp(-leaf * s)
-            lags = np.arange(first_leaf - leaf, leaf - 1, -1)
-            state = np.exp(-np.outer(s, lags)) @ u[: lags.size]
-            for lo in range(first_leaf, n + 1, leaf):
-                state = decay * state + feed @ u[lo - 2 * leaf + 1 : lo - leaf + 1]
+            state = np.zeros(s.size)
+            for lo in range(3, n + 1, leaf):
+                # buf[lo + 1 : lo + leaf + 1] is u[lo - 2 * leaf + 1 : lo - leaf + 1].
+                state = decay * state + feed @ buf[lo + 1 : lo + leaf + 1]
                 hi = min(lo + leaf, n + 1)
                 rows = hi - lo
-                b = rhs[lo - first_leaf : hi - first_leaf] + out[:rows] @ state
-                b += slab[:rows] @ u[lo - leaf + 1 : lo]
-                # tri.T is upper triangular in Fortran order; trans=1 solves tri @ x = b.
-                u[lo:hi], info = dtrtrs(tri[:rows, :rows].T, b, lower=0, trans=1, overwrite_b=1)
-                if info:
-                    raise np.linalg.LinAlgError(f"dtrtrs info {info} on the leaf at step {lo}")
+                b = rhs[lo - 3 : hi - 3] + out[:rows] @ state
+                b += slab[:rows] @ buf[lo + leaf + 1 : lo + 2 * leaf]
+                u[lo:hi] = tinv[:rows, :rows] @ b
         diverged = not bool(np.all(np.abs(u) <= _DIVERGENCE_LIMIT))
 
     max_error: Optional[float] = None

@@ -183,7 +183,7 @@ def _tail_coefficients(
     ``m <= _ASYM_N`` and :func:`_em_tail` past it.
 
     The expansion needs ``m > _ASYM_N``, so every m past ``table_end``
-    must exceed it; ``solve`` keeps its first leaf past ``_ASYM_N``.
+    must exceed it; a long ``solve`` passes ``table_end = _ASYM_N``.
     """
     c = alpha_constants(alpha)
     mf = np.asarray(ms, dtype=float)

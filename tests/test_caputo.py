@@ -489,9 +489,10 @@ def test_quadrature_matches_exp():
 
 
 def test_import_loads_no_quadrature_stack():
-    """``import caputofd`` loads no scipy; the first ``solve`` loads ``scipy.linalg`` alone.
+    """``import caputofd`` loads no scipy; the first short ``solve`` loads ``scipy.linalg`` alone.
 
-    ``scipy.linalg`` loads with the first ``solve``, and scipy's quadrature,
+    A long ``solve`` (n = 4096) has no march and loads no scipy.
+    ``scipy.linalg`` loads with the first short one, and scipy's quadrature,
     special functions and FFT stay unloaded.  ``caputo_quadrature`` imports
     ``scipy.integrate`` on its first call and still gives ``E_{1,3/2}(1)``,
     the Caputo derivative of order 1/2 of ``e^x`` at 1 (mpmath, 40 digits).
@@ -505,6 +506,8 @@ def test_import_loads_no_quadrature_stack():
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import caputofd\n"
         "print(scipy_modules())\n"
+        "caputofd.solve(caputofd.equation_catalog(0.5)[1], caputofd.SchemeId.L1, 4096)\n"
+        "print(scipy_modules())\n"
         "caputofd.solve(caputofd.equation_catalog(0.5)[1], caputofd.SchemeId.L1, 8)\n"
         "print('scipy.linalg' in sys.modules)\n"
         "print([m for m in ('scipy.integrate', 'scipy.special', 'scipy.fft') if m in sys.modules])\n"
@@ -514,9 +517,10 @@ def test_import_loads_no_quadrature_stack():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert out[0] == "[]"
-    assert out[1] == "True"
-    assert out[2] == "[]"
-    assert float(out[3]) == pytest.approx(2.290698252303238, rel=1e-12)
+    assert out[1] == "[]"
+    assert out[2] == "True"
+    assert out[3] == "[]"
+    assert float(out[4]) == pytest.approx(2.290698252303238, rel=1e-12)
 
     cli = (
         "import sys\n"

@@ -56,9 +56,10 @@ HIGH_ORDER = [
 
 #: Near fields the far-field tests run under: the solver's default, which
 #: leaves these short solves on the plain march, and 16, which sends every
-#: step from 64 on through 16-step leaves, whose lags from 16 on come from
-#: exponential states.  A near field below the default leaf width is also
-#: the leaves' width; the default one's leaves are 128 steps wide.
+#: solve of 16 steps or more through 16-step leaves from step 3 on, whose
+#: lags from 16 on come from exponential states.  A near field below the
+#: default leaf width is also the leaves' width; the default one's leaves
+#: are 128 steps wide.
 DEFAULT_NEAR_FIELD = relaxation._NEAR_FIELD
 NEAR_FIELDS = [DEFAULT_NEAR_FIELD, 16]
 
@@ -104,22 +105,12 @@ def _march_recipe(problem, scheme, n):
     return u
 
 
-def _leaf_rows(monkeypatch):
-    """Row counts of the leaf solves that ``solve`` runs from now on."""
-    rows = []
-    dtrtrs = scipy.linalg.lapack.dtrtrs
-
-    def spy(a, b, **kwargs):
-        rows.append(len(b))
-        return dtrtrs(a, b, **kwargs)
-
-    # solve imports dtrtrs from scipy.linalg.lapack on each call.
-    monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", spy)
-    return rows
-
-
 def _exponential_sums(monkeypatch):
-    """Lag ranges ``(lo, hi)`` of the exponential sums ``solve`` builds from now on."""
+    """Lag ranges ``(lo, hi)`` of the exponential sums ``solve`` builds from now on.
+
+    A long solve builds one, ``(leaf, n)``, and a marched one none, so the
+    list also tells which path each solve took.
+    """
     ranges = []
     exponential_sum = relaxation._exponential_sum
 
@@ -131,12 +122,11 @@ def _exponential_sums(monkeypatch):
     return ranges
 
 
-def _leaf_matrix(scheme, alpha, damping, n):
-    """The leaf's lower-triangular Toeplitz matrix, built as ``solve`` builds it."""
+def _leaf_column(scheme, alpha, damping, n):
+    """First column of the leaf's lower-triangular Toeplitz matrix, as ``solve`` builds it."""
     lam = -_interior_weights(scheme, alpha, n, alpha_constants(alpha)) / scheme_norm(scheme, alpha)
     d_ha = damping * (1.0 / n) ** alpha
-    leaf = relaxation._LEAF
-    return scipy.linalg.toeplitz(np.concatenate(([-lam[0] + d_ha], -lam[1:leaf])), np.zeros(leaf))
+    return np.concatenate(([-lam[0] + d_ha], -lam[1 : relaxation._LEAF]))
 
 
 class TestCatalog:
@@ -464,13 +454,13 @@ class TestSolve:
     def test_divergent_runs_raise_no_warnings(self, monkeypatch):
         # The blow-up reaches inf and nan; `diverged` reports it, so numpy
         # must not also warn, on the march or in the leaves.
-        rows = _leaf_rows(monkeypatch)
+        ranges = _exponential_sums(monkeypatch)
         exp7, exp8 = equation_catalog(0.3, D=-7.0)[3], equation_catalog(0.3, D=-8.0)[3]
         huge = RelaxationProblem(alpha=0.3, D=-8.0, forcing=lambda x: 0.0, y0=1e300)
         runs = [  # ..., and the step where the run first goes non-finite
             (exp7, DEFAULT_NEAR_FIELD, 640, 468),  # on the march
             (exp8, DEFAULT_NEAR_FIELD, DEFAULT_NEAR_FIELD, 2810),  # in the 128-step leaves
-            (huge, DEFAULT_NEAR_FIELD, DEFAULT_NEAR_FIELD, 70),  # before the first leaf
+            (huge, DEFAULT_NEAR_FIELD, DEFAULT_NEAR_FIELD, 70),  # in the first leaf
             (exp7, 16, 640, 468),  # in the 16-step leaves
         ]
         for problem, near_field, n, first_nonfinite in runs:
@@ -480,7 +470,7 @@ class TestSolve:
                 result = solve(problem, SchemeId.L1, n)
             assert result.diverged
             assert np.flatnonzero(~np.isfinite(result.u))[0] == first_nonfinite
-        assert rows  # the leaf path ran
+        assert ranges == [(128, DEFAULT_NEAR_FIELD)] * 2 + [(16, 640)]  # the last three ran leaves
 
     def test_march_is_the_plain_recipe_bit_for_bit(self):
         # L1, Mid2 and Right3mAlpha carry 1, 2 and 3 tail deltas.  At
@@ -525,24 +515,21 @@ class TestSolve:
     )
     def test_leaf_path_matches_plain_march(self, scheme, monkeypatch):
         # A near field wider than the grid turns leaves and far field off.
-        # Leaves run from step 256 and read every lag from 128 on from the
-        # exponential states.  Rounding grows like n^alpha, so the gap is
-        # also gated in units of n^alpha ulps of the solution.
-        layouts = {
-            4224: [128] * 31 + [1],  # 31 full leaves and one step of a 32nd
-            6145: [128] * 46 + [2],
-        }
-        rows = _leaf_rows(monkeypatch)
-        for n, layout in layouts.items():
+        # Leaves run from step 3 and read every lag from 128 on from the
+        # exponential states: 32 full leaves and 126 steps of a 33rd at
+        # n = 4224, 47 and 127 at n = 6145.  Rounding grows like n^alpha, so
+        # the gap is also gated in units of n^alpha ulps of the solution.
+        ranges = _exponential_sums(monkeypatch)
+        for n in (4224, 6145):
             for alpha in (0.3, 0.7):
                 for problem in equation_catalog(alpha, D=-1.0)[1:]:
                     monkeypatch.setattr(relaxation, "_NEAR_FIELD", DEFAULT_NEAR_FIELD)
                     leaves = solve(problem, scheme, n).u
-                    assert rows == layout
+                    assert ranges == [(128, n)]
                     monkeypatch.setattr(relaxation, "_NEAR_FIELD", n + 1)
                     march = solve(problem, scheme, n).u
-                    assert rows == layout
-                    rows.clear()
+                    assert ranges == [(128, n)]
+                    ranges.clear()
                     gap = np.abs(leaves - march)
                     assert np.all(gap <= 5e-13 * np.maximum(1.0, np.abs(march))), (
                         n, alpha, problem.label, float(np.max(gap)),
@@ -552,18 +539,22 @@ class TestSolve:
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
     def test_leaf_edges_match_stepwise_rebuild(self, scheme, monkeypatch):
-        # Width 16 makes the leaves 16 steps long, starting at step 64.
+        # Width 16 makes the leaves 16 steps long, starting at step 3, for
+        # every solve of 16 steps or more: 14 rows at n = 16, one full leaf
+        # at 18 and one more row at 19; the leaf from 51 has 14 to 16 rows at
+        # 64 to 66, and the one from 67 one row at 67 and 14 at 80.
         monkeypatch.setattr(relaxation, "_NEAR_FIELD", 16)
-        rows = _leaf_rows(monkeypatch)
+        ranges = _exponential_sums(monkeypatch)
         problem = equation_catalog(0.5)[1]
         start = default_start_mode(scheme)
-        solve(problem, scheme, 63)
-        assert rows == []
-        for n in (64, 65, 79, 80):
+        solve(problem, scheme, 15)
+        assert ranges == []
+        sizes = (16, 18, 19, 64, 65, 66, 67, 79, 80)
+        for n in sizes:
             result = solve(problem, scheme, n, start)
             reference = _naive_solve(problem, scheme, n, start)
             np.testing.assert_allclose(result.u, reference, rtol=0, atol=5e-14)
-        assert rows == [1, 2, 16, 16, 1]
+        assert ranges == [(16, n) for n in sizes]
 
     def test_exponential_sum_against_mpmath(self):
         # The far field's kernel for lags [128, n] at n = 40960 and 2^20, and
@@ -602,9 +593,9 @@ class TestSolve:
         assert ranges == [(128, DEFAULT_NEAR_FIELD + 64)]
 
     def test_narrow_march_sums_every_lag(self, monkeypatch):
-        # Width 16 puts the first leaf at step 64, so the march passes the
-        # near field: each of its steps still sums every lag with one ddot,
-        # and only the leaves read the exponential states.
+        # Under width 16, a 15-step solve is the march: each of its steps
+        # sums every lag with one ddot.  A 300-step one has no march: it
+        # calls no ddot, and only its leaves read the exponential states.
         monkeypatch.setattr(relaxation, "_NEAR_FIELD", 16)
         lengths = []
 
@@ -614,38 +605,35 @@ class TestSolve:
 
         monkeypatch.setattr(scipy.linalg.blas, "ddot", spy)
         ranges = _exponential_sums(monkeypatch)
+        solve(equation_catalog(0.5)[1], SchemeId.L1, 15)
+        assert lengths == list(range(3, 16))
+        assert ranges == []
         solve(equation_catalog(0.5)[1], SchemeId.L1, 300)
-        assert lengths == list(range(3, 64))
+        assert lengths == list(range(3, 16))
         assert ranges == [(16, 300)]
 
+    @pytest.mark.parametrize("damping", [1.0, -1.0, -8.0])
     @pytest.mark.parametrize(
-        "scheme,damping", [(SchemeId.L1, -1.0), (SchemeId.Mid2, 1.0), (SchemeId.Right3mAlpha, -5.0)],
-        ids=lambda v: v.name if isinstance(v, SchemeId) else str(v),
+        "scheme", [SchemeId.L1, SchemeId.Mid2, SchemeId.Right3mAlpha], ids=lambda s: s.name
     )
-    def test_leaf_dtrtrs_is_solve_triangular(self, scheme, damping):
-        # The leaves call LAPACK dtrtrs on the transposed (Fortran-ordered)
-        # matrix with trans=1, the call solve_triangular makes internally;
-        # the two must agree bit for bit, overflow, inf and nan included.
-        leaf = relaxation._LEAF
-        tri = _leaf_matrix(scheme, 0.3, damping, 6145)
-        rng = np.random.default_rng(11)
-        normal = rng.standard_normal(leaf)
-        big = 1e307 * np.sign(normal) * rng.uniform(0.5, 1.0, leaf)  # solves overflow
-        special = normal.copy()
-        special[rng.choice(leaf, 9, replace=False)] = [np.inf, -np.inf, np.nan] * 3
-        nonfinite = 0
-        for b in (normal, big, special):
-            for rows in range(1, leaf + 1):
-                expected = scipy.linalg.solve_triangular(
-                    tri[:rows, :rows], b[:rows], lower=True, check_finite=False
-                )
-                got, info = scipy.linalg.lapack.dtrtrs(
-                    tri[:rows, :rows].T, b[:rows].copy(), lower=0, trans=1, overwrite_b=1
-                )
-                assert info == 0
-                assert got.tobytes() == expected.tobytes(), (rows, b[0])
-                nonfinite += int(np.sum(~np.isfinite(expected)))
-        assert nonfinite
+    def test_leaf_inverse_matches_forward_substitution(self, scheme, damping):
+        # A leaf's steps are one product with the inverse of its matrix.  The
+        # product rounds by up to about eps * (|tinv| @ |b|) in each entry,
+        # so the gap to mpmath's forward substitution is gated in that unit.
+        mp = pytest.importorskip("mpmath")
+        col = _leaf_column(scheme, 0.3, damping, 6145)
+        tinv = relaxation._leaf_inverse(col)
+        b = np.random.default_rng(11).standard_normal(col.size)
+        with mp.workdps(30):
+            ref = []
+            for i, value in enumerate(b.tolist()):
+                acc = mp.mpf(value) - mp.fsum(mp.mpf(float(col[i - j])) * ref[j] for j in range(i))
+                ref.append(acc / mp.mpf(float(col[0])))
+        gap = np.abs(tinv @ b - np.array(ref, dtype=float))
+        units = float(np.max(gap / (np.finfo(float).eps * (np.abs(tinv) @ np.abs(b)))))
+        # 1.1 times the measured worst (Right3mAlpha, D = -8); one float
+        # refinement step with the residual e_0 - col * inv measured 2.66.
+        assert units <= 1.1 * 1.52, units
 
     def test_far_field_leaves_no_reference_cycles(self):
         # A cycle would keep every array of the solve alive until the
