@@ -18,24 +18,13 @@ weight construction alone.  The solver below uses the stencil form of
 :mod:`caputofd.schemes` instead: one head-corrected interior vector, plus
 tail deltas computed once for every step count.  The delta at index
 ``m - j`` multiplies ``u_j``, so each step adds at most three tail terms
-in ``u_0``, ``u_1`` and ``u_2`` to its history sum.  How a tail
-coefficient is computed is left to :mod:`caputofd.schemes`; the solver
-only names the last step whose harmonic deficit ``S_m[1+alpha]`` comes
-from the running compensated table: the march's last, or ``_ASYM_N`` in a
-long solve, whose later steps read the Euler-Maclaurin expansion.
+in ``u_0``, ``u_1`` and ``u_2`` to its history sum; :mod:`caputofd.schemes`
+computes the tail coefficients.
 
-Solves shorter than ``_NEAR_FIELD`` steps are marched one at a time, each
-step summing every lag with one BLAS ``ddot``.  A longer solve has no
-march: it solves every step from 3 on in leaves of ``_LEAF``.  Each leaf
-sums the ``_LEAF - 1`` lags before it directly, and one product with the
-inverse of its lower-triangular Toeplitz matrix carries those inside it.
-Every family's interior weight is a Laplace transform in the lag, so the
-lags from ``_LEAF`` on are a short sum of exponentials (Jiang, Zhang, Zhang
-and Zhang, Commun. Comput. Phys. 21, 2017): N of about 190 decaying
-states, advanced once per leaf.  Importing this module loads no scipy;
-``scipy.linalg`` loads at the first march, so a process whose solves are
-all long loads none.  The recurrence stays causal, so every damping,
-divergent runs included, costs a long solve O(n * (128 + N)).
+Solves shorter than ``_NEAR_FIELD`` steps march one step at a time
+(:func:`_march`, the only user of scipy, which it imports at its first run).
+Longer ones solve every step from 3 on in leaves of ``_LEAF`` steps, whose
+older lags are a short sum of decaying exponentials (:func:`_leaves`).
 """
 
 from __future__ import annotations
@@ -77,14 +66,13 @@ __all__ = [
 #: completes so the blow-up profile can be inspected).
 _DIVERGENCE_LIMIT = 1e30
 
-#: Solves shorter than this are the plain march, bit for bit: every step
-#: sums every lag directly.  A longer one has no march: it runs leaves from
-#: step 3 on.
+#: Picks the path: solves shorter than this march, and longer ones run
+#: leaves from step 3 on.
 _NEAR_FIELD = 4096
 
-#: Leaves are this many steps wide (at most ``_NEAR_FIELD``).  A leaf sums
-#: the lags below its width directly, at O(width) per step, and the older
-#: ones from exponential states, at O(N).
+#: Leaves are this many steps wide.  A leaf sums the lags below its width
+#: directly, at O(width) per step, and the older ones from exponential
+#: states, at O(N).
 _LEAF = 128
 
 
@@ -121,10 +109,10 @@ class RelaxationProblem:
         D: Damping coefficient, finite; negative values are admitted (and
             may produce divergent numerical trajectories).
         forcing: Right-hand side ``F``.  It takes a float or a 1-D float
-            array of points and returns a value of the same shape; a
-            scalar return is broadcast over the points.  :func:`solve`
-            calls it once on the whole grid ``x_2 .. x_n`` and once on the
-            scalar ``h`` (the implicit start), so it must accept both.
+            array of points and returns finite values of the same shape; a
+            scalar return is broadcast.  :func:`solve` calls it once on the
+            whole grid ``x_2 .. x_n`` and once on the scalar ``h`` (the
+            implicit start), so it must accept both.
         y0: Initial value y(0), finite.
         x_end: Right endpoint of the integration interval, finite and > 0.
         exact: Optional closed-form solution used for error reporting;
@@ -250,8 +238,8 @@ def first_step(problem: RelaxationProblem, h: float, mode: StartMode) -> float:
         The starting value ``u_1``.
 
     Raises:
-        ValueError: If ``h <= 0``, or TaylorStart is requested on a problem
-            without ``dy0``/``d2y0`` metadata.
+        ValueError: If ``h <= 0``, TaylorStart lacks the ``dy0``/``d2y0``
+            metadata, or the implicit start's ``F(h)`` is not finite.
         SingularDenominatorError: If the implicit start's denominator
             ``1 + Gamma(2-alpha)*D*h^alpha`` vanishes.
     """
@@ -271,49 +259,107 @@ def first_step(problem: RelaxationProblem, h: float, mode: StartMode) -> float:
         raise SingularDenominatorError(
             f"1 + Gamma(2-alpha)*D*h^alpha vanished for D={problem.D!r}, h={h!r}"
         )
-    return (problem.y0 + g * ha * problem.forcing(h)) / den
+    fh = problem.forcing(h)
+    if not np.isfinite(fh):
+        raise ValueError(f"forcing must be finite, got F({h!r}) = {fh}")
+    return (problem.y0 + g * ha * fh) / den
 
 
 def _forcing_on_grid(forcing: Callable, h: float, n: int) -> np.ndarray:
     """``forcing`` evaluated once on ``x_m = m*h`` for ``m = 2 .. n``.
 
-    Raises:
-        ValueError: if its result does not broadcast to the grid.
+    Raises ``ValueError`` unless the result broadcasts to the grid and is finite.
     """
     xs = np.arange(2, n + 1) * h
     values = forcing(xs)
     try:
-        return np.broadcast_to(np.asarray(values, dtype=float), xs.shape)
+        values = np.broadcast_to(np.asarray(values, dtype=float), xs.shape)
     except ValueError as exc:
         raise ValueError(
             "forcing must return a scalar or an array shaped like its argument; "
             f"got shape {np.shape(values)} for {xs.size} grid points"
         ) from exc
+    bad = np.flatnonzero(~np.isfinite(values))[:1]
+    if bad.size:
+        raise ValueError(f"forcing must be finite, got F({float(xs[bad[0]])!r}) = {values[bad[0]]}")
+    return values
+
+
+def _table_end(n: int) -> int:
+    """Last step whose ``S_m[1+alpha]`` comes from the running table; leaves read the series past it."""
+    return n if n < _NEAR_FIELD else _ASYM_N
+
+
+def _march(lam: np.ndarray, den: float, f: np.ndarray, tails: list, head: np.ndarray) -> np.ndarray:
+    """Steps 3 .. n one at a time, each summing its whole history with one BLAS ``ddot``.
+
+    ``f[m - 3]`` is ``h^alpha * F(x_m)``, ``tails[j][m - 2]`` multiplies
+    ``u_j`` at step m, and ``head`` is ``u_0 .. u_2``.  The ``ddot`` reads an
+    offset into a newest-first buffer: no slice, copy or numpy call per step.
+    """
+    from scipy.linalg.blas import ddot  # here: of the package, only the march needs scipy
+
+    n = f.size + 2
+    buf = np.zeros(n + 1)  # newest first: step m's history u[m-1::-1] is buf[n-m+1:]
+    u = buf[::-1]
+    u[:3] = head
+    steps = [range(3, n + 1), f.tolist()]
+    steps += [(row[1:] * u[j]).tolist() for j, row in enumerate(tails)]
+    steps += [[0.0] * (n - 2)] * (3 - len(tails))
+    for m, fm, p0, p1, p2 in zip(*steps):
+        history = ddot(lam, buf, m, 1, 1, n - m + 1)
+        # Left to right, one term at a time; a missing delta's +0.0 is exact on a dot's sum.
+        buf[n - m] = (fm + (history + p0 + p1 + p2)) / den
+    return u
+
+
+def _leaves(lam: np.ndarray, den: float, rhs: np.ndarray, head: np.ndarray, nodes: tuple, norm: float) -> np.ndarray:
+    """Steps 3 .. n in leaves of ``_LEAF`` steps, at O(n * (_LEAF + N)) for any ``D``.
+
+    ``rhs[m - 3]`` holds step m's forcing and tail terms, and ``nodes`` is
+    :func:`_exponential_sum` for the lags from ``_LEAF`` to n (Jiang, Zhang,
+    Zhang and Zhang, Commun. Comput. Phys. 21, 2017).  A leaf is one product
+    with the inverse of its lower-triangular Toeplitz matrix, after one with
+    a Toeplitz block of the weights for the ``_LEAF - 1`` lags before it and
+    one with N exponential states (186 at n = 40960), zero at first as the
+    padding before ``u_0`` is, for the older ones.  The sums differ from the
+    march's by rounding and by the exponential sum's 4.8e-15 relative error.
+    """
+    leaf, n = _LEAF, rhs.size + 2
+    buf = np.zeros(2 * leaf + n + 1)  # 2 * leaf zeros before u_0: u_j is buf[2 * leaf + j]
+    u = buf[2 * leaf :]
+    u[:3] = head
+    # slab[i] @ u[lo - leaf + 1 : lo] sums the lags i + 1 .. leaf - 1 + i reaching
+    # step lo + i from before the leaf, and tinv carries the lags inside it.
+    k = np.arange(leaf)
+    slab = lam[leaf - 1 + np.subtract.outer(k, k[:-1])]
+    tinv = _leaf_inverse(np.concatenate(([den], -lam[1:leaf])))
+    # The lags from leaf + i on: out[i] @ state, with
+    # state = sum_{j <= lo - leaf} e^(-(lo - j) s) u_j, carried one leaf at a time.
+    s, weights = nodes
+    out = np.exp(-np.outer(k, s)) * (-weights / norm)
+    feed = np.exp(-np.outer(s, np.arange(2 * leaf - 1, leaf - 1, -1)))
+    decay = np.exp(-leaf * s)
+    state = np.zeros(s.size)
+    for lo in range(3, n + 1, leaf):
+        # buf[lo + 1 : lo + leaf + 1] is u[lo - 2 * leaf + 1 : lo - leaf + 1].
+        state = decay * state + feed @ buf[lo + 1 : lo + leaf + 1]
+        hi = min(lo + leaf, n + 1)
+        rows = hi - lo
+        b = rhs[lo - 3 : hi - 3] + out[:rows] @ state
+        b += slab[:rows] @ buf[lo + leaf + 1 : lo + 2 * leaf]
+        u[lo:hi] = tinv[:rows, :rows] @ b
+    return u
 
 
 def solve(
-    problem: RelaxationProblem,
-    scheme: SchemeId,
-    n: int,
-    start: Optional[StartMode] = None,
+    problem: RelaxationProblem, scheme: SchemeId, n: int, start: Optional[StartMode] = None
 ) -> SolveResult:
     """March the relaxation equation across ``n`` uniform steps.
 
-    A solve shorter than 4096 steps is marched one step at a time, each step
-    summing its whole history ``sum_{k=1..m} lambda_k * u_{m-k}`` with one
-    offset BLAS ``ddot`` into a newest-first buffer: no slice view, copy or
-    numpy dispatch per step.  A longer solve has no march: from step 3 on it
-    solves 128 steps at a time, by one product with the inverse of the
-    leaf's lower-triangular Toeplitz matrix, after one with a ``128 x 127``
-    Toeplitz block of the weights for the lags below 128 from before the
-    leaf, and one with N exponential states (:func:`_exponential_sum`,
-    N = 186 at n = 40960) for the older ones.  The states start at zero, as
-    the padded history before ``u_0`` is, and advance once per leaf.  The
-    forcing and the tail deltas of every step count are computed once, up
-    front; at step 2 a third delta lands on ``lambda_0``.  The recurrence
-    stays causal for any ``D``, at O(n * (128 + N)).  In the leaves the sums
-    differ from the plain march's by rounding, by the exponential sum's
-    4.8e-15 relative error, and by ``S_m[1+alpha]`` from the series past 50.
+    The forcing, the tail deltas of every step count, ``u_1`` and ``u_2``
+    are computed once, up front.  Then :func:`_march` runs steps 3 .. n, or
+    :func:`_leaves` does from ``_NEAR_FIELD`` (4096) steps on.
 
     Args:
         problem: The initial-value problem.
@@ -329,39 +375,25 @@ def solve(
 
     Raises:
         ValueError: If ``n < 2``, or the forcing's result on the grid does
-            not broadcast to it.
+            not broadcast to it or is not finite.
         SingularDenominatorError: If ``lambda_0 + D*h^alpha = 0``.
     """
     if n < 2:
         raise ValueError(f"need at least two steps, got n={n!r}")
 
-    alpha = problem.alpha
-    c = alpha_constants(alpha)
+    alpha, h = problem.alpha, problem.x_end / n
     norm = scheme_norm(scheme, alpha)
-    h = problem.x_end / n
     ha = h**alpha
     d_ha = problem.D * ha
     mode = start if start is not None else default_start_mode(scheme)
 
-    # A leaf sums as many lags directly as it is wide, so every lag inside
-    # it is a near one.  Only a long solve has leaves, and no march.
-    leaf = min(_NEAR_FIELD, _LEAF)
-    marched = n < _NEAR_FIELD
-
-    w = _interior_weights(scheme, alpha, max(n, 2 * leaf), c)  # a slab's lags past n meet padding
-
-    # The march's u is newest first: step m's history u[m-1::-1] is buf[n-m+1:].
-    # The leaves' has 2 * leaf zeros before u_0: u_j is buf[2 * leaf + j].
-    buf = np.zeros(n + 1 if marched else 2 * leaf + n + 1)
-    u = buf[::-1] if marched else buf[2 * leaf :]
-    u[0] = problem.y0
-    u[1] = first_step(problem, h, mode)
+    w = _interior_weights(scheme, alpha, max(n, 2 * _LEAF), alpha_constants(alpha))  # slabs read past n
+    head = np.array([problem.y0, first_step(problem, h, mode), 0.0])  # u_0 .. u_2
     forcing = _forcing_on_grid(problem.forcing, h, n)
-    # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.
-    # Built after the forcing and freed once the leaves have them, so that
-    # none meets the forcing's temporaries, which set a long solve's peak
-    # memory.  S_m[1+alpha] comes from the running table on the march only.
-    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), w, n if marched else _ASYM_N)]
+    # tails[j][m - 2] multiplies u_j at step m: the delta at index m - j.  Built
+    # after the forcing and freed once the leaves have them, so that none meets
+    # the forcing's temporaries, which set a long solve's peak memory.
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), w, _table_end(n))]
     gen_lam = np.divide(w, -norm, out=w)  # lambda_k in w's memory
     gen_lam[0] = -gen_lam[0]
     # Step 2 reads its tail terms as stencil weights; a third delta lands
@@ -376,54 +408,22 @@ def solve(
     den = lam0 + d_ha
     # A divergent run overflows to inf and nan; `diverged` reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        history = (gen_lam[1] + t[1]) * u[1] + (gen_lam[2] + t[0]) * u[0]
-        u[2] = (ha * forcing[0] + history) / (lam0_2 + d_ha)
-        if marched:
-            from scipy.linalg.blas import ddot  # here: of the package, only the march needs scipy
-            steps = [range(3, n + 1), (ha * forcing[1:]).tolist()]
-            steps += [(row[1:] * u[j]).tolist() for j, row in enumerate(tails)]
-            steps += [[0.0] * (n - 2)] * (3 - len(tails))
-            for m, f, p0, p1, p2 in zip(*steps):
-                history = ddot(gen_lam, buf, m, 1, 1, n - m + 1)
-                # Left to right, one term at a time; a missing delta's +0.0 is exact on a dot's sum.
-                buf[n - m] = (f + (history + p0 + p1 + p2)) / den
+        f = ha * forcing[1:]
+        history = (gen_lam[1] + t[1]) * head[1] + (gen_lam[2] + t[0]) * head[0]
+        head[2] = (ha * forcing[0] + history) / (lam0_2 + d_ha)
+        if n < _NEAR_FIELD:
+            u = _march(gen_lam, den, f, tails, head)
         else:
-            # Every step from 3: forcing and tail terms for all of them ...
-            rhs = ha * forcing[1:]
             for j, row in enumerate(tails):
-                rhs += row[1:] * u[j]
+                f += row[1:] * head[j]
             del tails
-            # ... then one leaf at a time: slab[i] @ u[lo - leaf + 1 : lo]
-            # sums the lags i + 1 .. leaf - 1 + i reaching step lo + i from
-            # before the leaf, and tinv, the inverse of the leaf's matrix
-            # (den on the diagonal, -gen_lam[k] on the k-th subdiagonal),
-            # carries the lags inside it.
-            k = np.arange(leaf)
-            slab = gen_lam[leaf - 1 + np.subtract.outer(k, k[:-1])]
-            tinv = _leaf_inverse(np.concatenate(([den], -gen_lam[1:leaf])))
-            # The lags from leaf + i on: out[i] @ state, with
-            # state = sum_{j <= lo - leaf} e^(-(lo - j) s) u_j, carried one
-            # leaf at a time from zero, as the padding before u_0 is.
-            s, weights = _exponential_sum(scheme, alpha, leaf, n)
-            out = np.exp(-np.outer(k, s)) * (-weights / norm)
-            feed = np.exp(-np.outer(s, np.arange(2 * leaf - 1, leaf - 1, -1)))
-            decay = np.exp(-leaf * s)
-            state = np.zeros(s.size)
-            for lo in range(3, n + 1, leaf):
-                # buf[lo + 1 : lo + leaf + 1] is u[lo - 2 * leaf + 1 : lo - leaf + 1].
-                state = decay * state + feed @ buf[lo + 1 : lo + leaf + 1]
-                hi = min(lo + leaf, n + 1)
-                rows = hi - lo
-                b = rhs[lo - 3 : hi - 3] + out[:rows] @ state
-                b += slab[:rows] @ buf[lo + leaf + 1 : lo + 2 * leaf]
-                u[lo:hi] = tinv[:rows, :rows] @ b
+            u = _leaves(gen_lam, den, f, head, _exponential_sum(scheme, alpha, _LEAF, n), norm)
         diverged = not bool(np.all(np.abs(u) <= _DIVERGENCE_LIMIT))
 
     max_error: Optional[float] = None
     if problem.exact is not None:
-        xs = h * np.arange(n + 1)
         with np.errstate(invalid="ignore", over="ignore"):
-            gaps = np.abs(u - np.asarray(problem.exact(xs), dtype=float))
+            gaps = np.abs(u - np.asarray(problem.exact(h * np.arange(n + 1)), dtype=float))
         max_error = float(np.max(gaps))
         if math.isnan(max_error):
             max_error = math.inf

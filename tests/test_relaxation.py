@@ -54,17 +54,23 @@ HIGH_ORDER = [
     SchemeId.Right3mAlpha,
 ]
 
-#: Near fields the far-field tests run under: the solver's default, which
-#: leaves these short solves on the plain march, and 16, which sends every
-#: solve of 16 steps or more through 16-step leaves from step 3 on, whose
-#: lags from 16 on come from exponential states.  A near field below the
-#: default leaf width is also the leaves' width; the default one's leaves
-#: are 128 steps wide.
+#: Near fields the far-field tests run under (see :func:`_near_field`): the
+#: solver's default, which leaves these short solves on the plain march,
+#: and 16, which sends every solve of 16 steps or more through 16-step
+#: leaves from step 3 on, whose lags from 16 on come from exponential
+#: states.
 DEFAULT_NEAR_FIELD = relaxation._NEAR_FIELD
+DEFAULT_LEAF = relaxation._LEAF
 NEAR_FIELDS = [DEFAULT_NEAR_FIELD, 16]
 
 # E_{1,1.5}(1), mpmath mp.dps=40
 ML_ONE_ONEHALF_AT_1 = 2.290698252303238
+
+
+def _near_field(monkeypatch, width):
+    """Leaves for every solve of ``width`` steps or more, as wide as ``width`` up to the default leaf."""
+    monkeypatch.setattr(relaxation, "_NEAR_FIELD", width)
+    monkeypatch.setattr(relaxation, "_LEAF", min(width, DEFAULT_LEAF))
 
 
 def _naive_solve(problem, scheme, n, start):
@@ -79,29 +85,37 @@ def _naive_solve(problem, scheme, n, start):
     return np.array(u)
 
 
-def _march_recipe(problem, scheme, n):
-    """The march's float recipe below the first leaf, transcribed step by step.
+def _march_recipe(problem, scheme, n, dtype=np.float64):
+    """The march's recipe for every step, transcribed step by step, its sums in ``dtype``.
 
-    Step m takes one ``np.dot`` over the reversed history ``u[m-1::-1]``,
-    adds each tail term ``t_j[m] * u_j`` in turn, then divides once.
+    It reads the float64 weights, tail deltas (with ``solve``'s table end),
+    ``h^alpha F``, ``D h^alpha`` and ``u_1`` that ``solve`` reads.  Step m
+    takes one ``np.dot`` over the reversed history ``u[m-1::-1]``, adds each
+    tail term ``t_j[m] * u_j`` in turn, then divides once: in float64 that
+    is the march bit for bit, and in ``np.longdouble`` a reference that
+    isolates the recurrence's rounding.
     """
     alpha, h = problem.alpha, problem.x_end / n
     ha, norm = h**alpha, scheme_norm(scheme, alpha)
     interior = _interior_weights(scheme, alpha, n, alpha_constants(alpha))
     lam = -interior / norm
     lam[0] = -lam[0]
-    tails = [-d / norm for d in _tail_deltas(scheme, alpha, np.arange(2, n + 1), interior, n)]
-    t = [row[0] for row in tails] + [0.0] * (3 - len(tails))
-    f = np.broadcast_to(problem.forcing(np.arange(2, n + 1) * h), (n - 1,))
-    u = np.empty(n + 1)
+    ms = np.arange(2, n + 1)
+    tails = [-d / norm for d in _tail_deltas(scheme, alpha, ms, interior, relaxation._table_end(n))]
+    f = ha * np.broadcast_to(problem.forcing(ms * h), (n - 1,))
+    lam, f = lam.astype(dtype), f.astype(dtype)
+    tails = [row.astype(dtype) for row in tails]
+    t = [row[0] for row in tails] + [dtype(0.0)] * (3 - len(tails))
+    d_ha = problem.D * ha
+    u = np.empty(n + 1, dtype)
     u[0], u[1] = problem.y0, first_step(problem, h, default_start_mode(scheme))
     history = (lam[1] + t[1]) * u[1] + (lam[2] + t[0]) * u[0]
-    u[2] = (ha * f[0] + history) / (lam[0] - t[2] + problem.D * ha)
+    u[2] = (f[0] + history) / (lam[0] - t[2] + d_ha)
     for m in range(3, n + 1):
-        history = float(np.dot(lam[1 : m + 1], u[m - 1 :: -1]))
+        history = np.dot(lam[1 : m + 1], u[m - 1 :: -1])
         for row, head in zip(tails, u[:3]):
             history += row[m - 2] * head
-        u[m] = (ha * f[m - 2] + history) / (lam[0] + problem.D * ha)
+        u[m] = (f[m - 2] + history) / (lam[0] + d_ha)
     return u
 
 
@@ -309,7 +323,7 @@ class TestSolve:
         ],
     )
     def test_matches_stepwise_rebuild(self, scheme, near_field, monkeypatch):
-        monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
+        _near_field(monkeypatch, near_field)
         problem = equation_catalog(0.5)[1]
         start = default_start_mode(scheme)
         for n in (7, 80):  # one below, one above the series crossover
@@ -435,7 +449,7 @@ class TestSolve:
         # the overflow guard; the trajectory is reported as-is.
         problem = equation_catalog(0.5, D=-7.0)[3]
         for near_field in NEAR_FIELDS:
-            monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
+            _near_field(monkeypatch, near_field)
             result = solve(problem, SchemeId.L1, 320)
             peak = float(np.max(np.abs(result.u)))
             assert 6.7e14 < peak < 6.7e18
@@ -445,7 +459,7 @@ class TestSolve:
     def test_overflow_flags_divergence(self, monkeypatch):
         problem = equation_catalog(0.5, D=-7.0)[3]
         for near_field in NEAR_FIELDS:
-            monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
+            _near_field(monkeypatch, near_field)
             result = solve(problem, SchemeId.L1, 40)
             assert result.diverged
             assert float(np.max(np.abs(result.u))) > 1e30
@@ -464,7 +478,7 @@ class TestSolve:
             (exp7, 16, 640, 468),  # in the 16-step leaves
         ]
         for problem, near_field, n, first_nonfinite in runs:
-            monkeypatch.setattr(relaxation, "_NEAR_FIELD", near_field)
+            _near_field(monkeypatch, near_field)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 result = solve(problem, SchemeId.L1, n)
@@ -537,13 +551,41 @@ class TestSolve:
                     ulps = np.max(gap) / (n**alpha * np.spacing(np.max(np.abs(march))))
                     assert ulps <= 4.0, (n, alpha, problem.label, float(ulps))
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
+    )
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize(
+        "scheme", [SchemeId.L1, SchemeId.Mid2, SchemeId.Right3mAlpha], ids=lambda s: s.name
+    )
+    def test_matches_long_double_reference_march(self, scheme, alpha, monkeypatch):
+        # The reference reads solve's float64 inputs and sums in long double,
+        # so the gap is solve's own rounding.  It grows like n^alpha, and for
+        # D < 0 the problem amplifies it by up to G = E_alpha(|D| x_end^alpha):
+        # 11.8 at alpha 0.2.  The march runs at 160 and 2560 steps, the
+        # leaves at 6145.  Measured worst: 1.13 units (II, Mid2, alpha 0.2,
+        # n = 2560); the leaves 0.62.
+        mp = pytest.importorskip("mpmath")
+        ranges = _exponential_sums(monkeypatch)
+        for problem in equation_catalog(alpha, D=-1.0):
+            growth = 1.0
+            if problem.D < 0.0:
+                z = mp.mpf(-problem.D * problem.x_end**alpha)
+                growth = float(mp.nsum(lambda k: z**k / mp.gamma(alpha * k + 1), [0, mp.inf]))
+            for n in (160, 2560, 6145):
+                reference = _march_recipe(problem, scheme, n, np.longdouble)
+                gap = float(np.max(np.abs(solve(problem, scheme, n).u - reference)))
+                unit = growth * n**alpha * np.spacing(float(np.max(np.abs(reference))))
+                assert gap <= 2.0 * unit, (problem.label, n, gap / unit)
+        assert ranges == [(DEFAULT_LEAF, 6145)] * 4
+
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
     def test_leaf_edges_match_stepwise_rebuild(self, scheme, monkeypatch):
         # Width 16 makes the leaves 16 steps long, starting at step 3, for
         # every solve of 16 steps or more: 14 rows at n = 16, one full leaf
         # at 18 and one more row at 19; the leaf from 51 has 14 to 16 rows at
         # 64 to 66, and the one from 67 one row at 67 and 14 at 80.
-        monkeypatch.setattr(relaxation, "_NEAR_FIELD", 16)
+        _near_field(monkeypatch, 16)
         ranges = _exponential_sums(monkeypatch)
         problem = equation_catalog(0.5)[1]
         start = default_start_mode(scheme)
@@ -596,7 +638,7 @@ class TestSolve:
         # Under width 16, a 15-step solve is the march: each of its steps
         # sums every lag with one ddot.  A 300-step one has no march: it
         # calls no ddot, and only its leaves read the exponential states.
-        monkeypatch.setattr(relaxation, "_NEAR_FIELD", 16)
+        _near_field(monkeypatch, 16)
         lengths = []
 
         def spy(x, y, n, *args):
@@ -672,6 +714,28 @@ class TestSolve:
         )
         with pytest.raises(ValueError, match="shaped like its argument"):
             solve(problem, SchemeId.L1, 16)
+
+    @pytest.mark.parametrize("n", [300, DEFAULT_NEAR_FIELD])
+    def test_non_finite_forcing_raises(self, n):
+        # An inf at x = 200h would reach the march's step 200 but, through
+        # the zeros of a leaf's inverse (0 * inf), the leaf's earlier steps
+        # from 131; either way it raises before any step, naming the point.
+        h = 1.0 / n
+        spike = RelaxationProblem(
+            alpha=0.5, D=1.0, forcing=lambda x: np.where(x == 200 * h, np.inf, 1.0), y0=0.0
+        )
+        with pytest.raises(ValueError, match=f"F\\({200 * h!r}\\) = inf"):
+            solve(spike, SchemeId.L1, n)
+        # The implicit start reads F(h) on its own; the Taylor start does not.
+        start = RelaxationProblem(
+            alpha=0.5, D=1.0, forcing=lambda x: np.where(x == h, np.nan, 1.0), y0=0.0,
+            dy0=0.0, d2y0=0.0,
+        )
+        with pytest.raises(ValueError, match=f"F\\({h!r}\\) = nan"):
+            solve(start, SchemeId.L1, n, StartMode.L1Start)
+        with pytest.raises(ValueError, match="must be finite"):
+            first_step(start, h, StartMode.L1Start)
+        assert first_step(start, h, StartMode.TaylorStart) == 0.0
 
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
