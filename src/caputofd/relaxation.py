@@ -279,7 +279,7 @@ def _forcing_on_grid(forcing: Callable, h: float, n: int) -> np.ndarray:
             "forcing must return a scalar or an array shaped like its argument; "
             f"got shape {np.shape(values)} for {xs.size} grid points"
         ) from exc
-    bad = np.flatnonzero(~np.isfinite(values))[:1]
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"forcing must be finite, got F({float(xs[bad[0]])!r}) = {values[bad[0]]}")
     return values
