@@ -23,8 +23,9 @@ computes the tail coefficients.
 
 Solves shorter than ``_NEAR_FIELD`` steps march one step at a time
 (:func:`_march`, the only user of scipy, which it imports at its first run).
-Longer ones solve every step from 3 on in leaves of ``_LEAF`` steps, whose
-older lags are a short sum of decaying exponentials (:func:`_leaves`).
+Longer ones solve every step from 3 on in leaves of ``_LEAF`` steps, each
+one matrix-vector product, whose older lags are a short sum of decaying
+exponentials, 69 at 40960 steps (:func:`_leaves`).
 """
 
 from __future__ import annotations
@@ -183,22 +184,28 @@ def _exponential_sum(scheme: SchemeId, alpha: float, lo: int, hi: int) -> tuple[
     Each family's weight is ``int_0^inf s^(beta-1) g(s) e^(-ks) ds / Gamma(beta)``:
     ``k^(-1-alpha)`` with ``beta = 1 + alpha``, ``g = 1``; the midpoint
     difference with ``beta = alpha``, ``g = -2 sinh s``; L1's second difference
-    with ``beta = alpha - 1``, ``g = 4 sinh^2(s/2)``.  The trapezoidal rule in
-    ``ln s`` converges exponentially (Trefethen and Weideman, SIAM Rev. 56,
-    2014): step ``tau = 0.25`` on ``[ln(1e-16/hi), ln(45/lo))`` gives 186 nodes
-    for the lags [128, 40960] and 199 for [128, 2^20], within 4.8e-15 relative
-    of mpmath (alpha 0.1 to 0.9, also for [16, 80]).  Step 0.2 measured
-    worse, 1.5e-14.
+    with ``beta = alpha - 1``, ``g = 4 sinh^2(s/2)``.  The trapezoidal rule
+    converges exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014) in
+    ``t``, with ``s = exp(t - thin)``, ``thin = 2 exp(t0 - t)`` and
+    ``t0 = ln(0.01/hi)``: near ``ln s`` above ``0.01/hi``, and thinning out
+    double-exponentially below it, where ``e^(-ks)`` is nearly a polynomial
+    (Takahasi and Mori, Publ. RIMS 9, 1974).  Step ``tau = 0.25`` on
+    ``[t0 - 3, ln(45/lo))`` gives 69 nodes for the lags [128, 40960], 82 for
+    [128, 2^20] and 53 for [16, 80], within 4.93e-15 relative of mpmath for
+    alpha 0.01 to 0.99 (4.87e-15 at 0.9).  Step 0.2 measured worse: 86
+    nodes for [128, 40960], and 5.35e-15.
     """
-    tau = 0.25
-    s = np.exp(np.arange(math.log(1e-16 / hi), math.log(45.0 / lo), tau))
+    tau, t0 = 0.25, math.log(0.01 / hi)
+    t = np.arange(t0 - 3.0, math.log(45.0 / lo), tau)
+    thin = 2.0 * np.exp(t0 - t)
+    s = np.exp(t - thin)
     if scheme in _L1_FAMILY:
         beta, g = alpha - 1.0, 4.0 * np.sinh(0.5 * s) ** 2
     elif scheme in _MID_FAMILY:
         beta, g = alpha, -2.0 * np.sinh(s)
     else:
         beta, g = 1.0 + alpha, 1.0
-    return s, tau * s**beta * g / math.gamma(beta)
+    return s, tau * (1.0 + thin) * s**beta * g / math.gamma(beta)
 
 
 def _leaf_inverse(col: np.ndarray) -> np.ndarray:
@@ -212,6 +219,23 @@ def _leaf_inverse(col: np.ndarray) -> np.ndarray:
     for i in k:
         inv[i] = (float(i == 0) - col[i:0:-1] @ inv[:i]) / col[0]
     return np.tril(inv[np.subtract.outer(k, k)])
+
+
+def _leaf_operator(lam: np.ndarray, den: float, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``near = tinv @ [I | out | slab]``: a leaf's steps are ``near @ [b; state; prev]``.
+
+    ``tinv`` inverts the leaf's lower-triangular Toeplitz matrix, with first
+    column ``[den, -lam_1 .. -lam_(_LEAF-1)]``, which carries the lags inside
+    the leaf.  ``b[i]`` is step ``lo + i``'s forcing and tail terms;
+    ``out[i] @ state``, with ``out[i, j] = e^(-i s_j) c_j``, sums its lags from
+    ``_LEAF + i`` on; and ``slab[i] @ prev``, with ``prev = u[lo - _LEAF + 1 : lo]``,
+    sums its lags ``i + 1 .. _LEAF - 1 + i`` that reach back before the leaf.
+    """
+    k = np.arange(_LEAF)
+    slab = lam[_LEAF - 1 + np.subtract.outer(k, k[:-1])]
+    out = np.exp(-np.outer(k, s)) * c
+    tinv = _leaf_inverse(np.concatenate(([den], -lam[1:_LEAF])))
+    return np.hstack((tinv, tinv @ np.hstack((out, slab))))
 
 
 def default_start_mode(scheme: SchemeId) -> StartMode:
@@ -319,36 +343,34 @@ def _leaves(lam: np.ndarray, den: float, rhs: np.ndarray, head: np.ndarray, node
     ``rhs[m - 3]`` holds step m's forcing and tail terms, and ``nodes`` is
     :func:`_exponential_sum` for the lags from ``_LEAF`` to n (Jiang, Zhang,
     Zhang and Zhang, Commun. Comput. Phys. 21, 2017).  A leaf is one product
-    with the inverse of its lower-triangular Toeplitz matrix, after one with
-    a Toeplitz block of the weights for the ``_LEAF - 1`` lags before it and
-    one with N exponential states (186 at n = 40960), zero at first as the
-    padding before ``u_0`` is, for the older ones.  The sums differ from the
-    march's by rounding and by the exponential sum's 4.8e-15 relative error.
+    of :func:`_leaf_operator`'s ``near``, built once per solve, with its
+    forcing and tail terms, N exponential states (69 at n = 40960), zero at
+    first as the padding before ``u_0`` is, for the older lags, and the
+    ``_LEAF - 1`` steps before it.  The sums differ from the march's by
+    rounding and by the exponential sum's 4.9e-15 relative error.
     """
     leaf, n = _LEAF, rhs.size + 2
     buf = np.zeros(2 * leaf + n + 1)  # 2 * leaf zeros before u_0: u_j is buf[2 * leaf + j]
     u = buf[2 * leaf :]
     u[:3] = head
-    # slab[i] @ u[lo - leaf + 1 : lo] sums the lags i + 1 .. leaf - 1 + i reaching
-    # step lo + i from before the leaf, and tinv carries the lags inside it.
-    k = np.arange(leaf)
-    slab = lam[leaf - 1 + np.subtract.outer(k, k[:-1])]
-    tinv = _leaf_inverse(np.concatenate(([den], -lam[1:leaf])))
-    # The lags from leaf + i on: out[i] @ state, with
-    # state = sum_{j <= lo - leaf} e^(-(lo - j) s) u_j, carried one leaf at a time.
     s, weights = nodes
-    out = np.exp(-np.outer(k, s)) * (-weights / norm)
+    near = _leaf_operator(lam, den, s, -weights / norm)
+    # v = [b; state; prev]: step lo + i's forcing and tail terms, the
+    # exponential states and u[lo - leaf + 1 : lo], read by the columns of near.
+    v = np.zeros(near.shape[1])
+    state, prev = v[leaf : leaf + s.size], v[leaf + s.size :]
+    # state = sum_{j <= lo - leaf} e^(-(lo - j) s) u_j, carried one leaf at a time.
     feed = np.exp(-np.outer(s, np.arange(2 * leaf - 1, leaf - 1, -1)))
     decay = np.exp(-leaf * s)
-    state = np.zeros(s.size)
     for lo in range(3, n + 1, leaf):
         # buf[lo + 1 : lo + leaf + 1] is u[lo - 2 * leaf + 1 : lo - leaf + 1].
-        state = decay * state + feed @ buf[lo + 1 : lo + leaf + 1]
+        state *= decay
+        state += feed @ buf[lo + 1 : lo + leaf + 1]
+        prev[:] = buf[lo + leaf + 1 : lo + 2 * leaf]
         hi = min(lo + leaf, n + 1)
         rows = hi - lo
-        b = rhs[lo - 3 : hi - 3] + out[:rows] @ state
-        b += slab[:rows] @ buf[lo + leaf + 1 : lo + 2 * leaf]
-        u[lo:hi] = tinv[:rows, :rows] @ b
+        v[:rows], v[rows:leaf] = rhs[lo - 3 : hi - 3], 0.0
+        u[lo:hi] = near[:rows] @ v
     return u
 
 

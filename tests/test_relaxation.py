@@ -601,6 +601,8 @@ class TestSolve:
     def test_exponential_sum_against_mpmath(self):
         # The far field's kernel for lags [128, n] at n = 40960 and 2^20, and
         # for width 16's [16, 80]: the first 40 lags and 60 spread to the last.
+        # The node counts read 69 and 82: the nodes below 0.01/n thin out
+        # double-exponentially.
         mp = pytest.importorskip("mpmath")
         formulas = {
             SchemeId.L1: lambda k, a: (k + 1) ** (1 - a) - 2 * k ** (1 - a) + (k - 1) ** (1 - a),
@@ -612,15 +614,18 @@ class TestSolve:
             for lo, hi in [(128, 40960), (128, 2**20), (16, 80)]:
                 spread = np.geomspace(lo, hi, 60).astype(int)
                 ks = np.unique(np.concatenate((np.arange(lo, lo + 40), spread, [hi])))
-                for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+                for alpha in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
                     for scheme, formula in formulas.items():
                         s, c = relaxation._exponential_sum(scheme, alpha, lo, hi)
                         got = np.exp(-np.outer(ks, s)) @ c
                         for k, value in zip(ks.tolist(), got.tolist()):
                             ref = formula(mp.mpf(k), mp.mpf(alpha))
                             worst = max(worst, float(abs((value - ref) / ref)))
-        # 1.1 times the measured worst (the right sum at alpha 0.9): the
-        # trapezoidal rule's own error at step 0.25, not rounding.
+        assert relaxation._exponential_sum(SchemeId.L1, 0.5, 128, 40960)[0].size <= 75
+        assert relaxation._exponential_sum(SchemeId.L1, 0.5, 128, 2**20)[0].size <= 90
+        # Measured worst: 4.93e-15 (the right sum at alpha 0.99; 4.87e-15 at
+        # 0.9, 1.11e-15 at 0.01), the trapezoidal rule's own error at step
+        # 0.25, not rounding.
         assert worst <= 1.1 * 4.79e-15, worst
 
     def test_no_far_field_below_the_first_leaf(self, monkeypatch):
@@ -676,6 +681,45 @@ class TestSolve:
         # 1.1 times the measured worst (Right3mAlpha, D = -8); one float
         # refinement step with the residual e_0 - col * inv measured 2.66.
         assert units <= 1.1 * 1.52, units
+
+    @pytest.mark.parametrize("damping", [1.0, -1.0, -8.0])
+    @pytest.mark.parametrize(
+        "scheme", [SchemeId.L1, SchemeId.Mid2, SchemeId.Right3mAlpha], ids=lambda s: s.name
+    )
+    def test_folded_leaf_matches_mpmath(self, scheme, damping):
+        # A leaf's steps are one product, near @ [b; state; prev], with near
+        # folded from the inverse, the exponential states' rows out and the
+        # slab of weights for the 127 lags before the leaf.  The gap to
+        # mpmath's forward substitution of b + out state + slab prev is gated
+        # in units of eps * (|tinv| @ (|b| + |out| |state| + |slab| |prev|)).
+        mp = pytest.importorskip("mpmath")
+        alpha, n, leaf = 0.3, 6145, relaxation._LEAF
+        norm = scheme_norm(scheme, alpha)
+        lam = -_interior_weights(scheme, alpha, n, alpha_constants(alpha)) / norm
+        col = _leaf_column(scheme, alpha, damping, n)
+        s, weights = relaxation._exponential_sum(scheme, alpha, leaf, n)
+        near = relaxation._leaf_operator(lam, col[0], s, -weights / norm)
+        k = np.arange(leaf)
+        out = np.exp(-np.outer(k, s)) * (-weights / norm)
+        slab = lam[leaf - 1 + np.subtract.outer(k, k[:-1])]
+        rng = np.random.default_rng(11)
+        b, prev = rng.standard_normal(leaf), rng.standard_normal(leaf - 1)
+        # The states of a seeded history u_j, j <= lo - leaf, as a solve carries them.
+        state = np.exp(-np.outer(s, np.arange(leaf, n))) @ rng.uniform(1.0, 2.0, n - leaf)
+        with mp.workdps(30):
+            ref = []
+            for i in range(leaf):
+                acc = mp.mpf(float(b[i])) + mp.fdot(out[i].tolist(), state.tolist())
+                acc += mp.fdot(slab[i].tolist(), prev.tolist())
+                acc -= mp.fdot(col[i:0:-1].tolist(), ref)
+                ref.append(acc / mp.mpf(float(col[0])))
+        gap = np.abs(near @ np.concatenate((b, state, prev)) - np.array(ref, dtype=float))
+        scale = np.abs(b) + np.abs(out) @ np.abs(state) + np.abs(slab) @ np.abs(prev)
+        units = float(np.max(gap / (np.finfo(float).eps * (np.abs(near[:, :leaf]) @ scale))))
+        # 1.1 times the measured worst (L1, D = -1).  The rounding is the one
+        # long product's: near built in long double reads the same worst, and
+        # the three products tinv @ (b + out @ state + slab @ prev) read 1.34.
+        assert units <= 1.1 * 2.27, units
 
     def test_far_field_leaves_no_reference_cycles(self):
         # A cycle would keep every array of the solve alive until the
