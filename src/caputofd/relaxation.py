@@ -22,7 +22,9 @@ in ``u_0``, ``u_1`` and ``u_2`` to its history sum; :mod:`caputofd.schemes`
 computes the tail coefficients.
 
 Solves shorter than ``_NEAR_FIELD`` steps march one step at a time
-(:func:`_march`, the only user of scipy, which it imports at its first run).
+(:func:`_march`, which imports scipy at its first run: apart from
+:func:`~caputofd.specfun.mittag_leffler_1` on the negative real axis, the
+package's only user of scipy).
 Longer ones solve every step from 3 on in leaves of ``_LEAF`` steps, each
 one matrix-vector product, whose older lags are a short sum of decaying
 exponentials, 69 at 40960 steps (:func:`_leaves`).
@@ -321,7 +323,7 @@ def _march(lam: np.ndarray, den: float, f: np.ndarray, tails: list, head: np.nda
     ``u_j`` at step m, and ``head`` is ``u_0 .. u_2``.  The ``ddot`` reads an
     offset into a newest-first buffer: no slice, copy or numpy call per step.
     """
-    from scipy.linalg.blas import ddot  # here: of the package, only the march needs scipy
+    from scipy.linalg.blas import ddot  # here: besides hyp1f1 on z < 0, the package's only scipy use
 
     n = f.size + 2
     buf = np.zeros(n + 1)  # newest first: step m's history u[m-1::-1] is buf[n-m+1:]

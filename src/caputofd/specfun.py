@@ -267,16 +267,18 @@ def mittag_leffler_1(beta: float, z, *, max_terms: int = 500):
 
         out[negative] = hyp1f1(1.0, beta, z.real[negative]) / gamma(beta)
     # Term k is term k-1 times z / (k - 1 + beta).  For real z >= 0 every
-    # point runs to the last one's stop: see the docstring.
+    # point runs to the last one's stop, the largest point's: see the docstring.
     real = ~negative & np.isrealobj(z)
     x = z.real[real]
     term = np.full(x.size, 1.0 / gamma(beta))
     total = term.copy()
-    for d in np.arange(max_terms) + beta:
-        term *= x / d
-        total += term
-        if (term <= 1e-18 * total).all():
-            break
+    if x.size:
+        top = int(x.argmax())
+        for d in np.arange(max_terms) + beta:
+            term *= x / d
+            total += term
+            if term[top] <= 1e-18 * total[top]:
+                break
     live = ~(term <= 1e-18 * total)
     if live.any():
         raise _not_converged(beta, x[live], max_terms)
