@@ -603,14 +603,16 @@ def test_quadrature_against_mpmath():
 
 
 @pytest.mark.parametrize(
-    "name, fprime, mp_fprime, breaks",
+    "fprime, mp_fprime, breaks",
     [
-        ("kink", lambda t: abs(t - 0.5), lambda t: abs(t - 0.5), (0.5,)),
-        ("step", lambda t: float(t >= 0.3), lambda t: 1 if t >= 0.3 else 0, (0.3,)),
-        ("cusp", lambda t: math.sqrt(abs(t - 0.7)), lambda t: abs(t - 0.7) ** 0.5, (0.7,)),
+        pytest.param(lambda t: abs(t - 0.5), lambda t: abs(t - 0.5), (0.5,), id="kink"),
+        pytest.param(lambda t: float(t >= 0.3), lambda t: 1 if t >= 0.3 else 0, (0.3,), id="step"),
+        pytest.param(
+            lambda t: math.sqrt(abs(t - 0.7)), lambda t: abs(t - 0.7) ** 0.5, (0.7,), id="cusp"
+        ),
     ],
 )
-def test_quadrature_bisects_toward_rough_points(name, fprime, mp_fprime, breaks):
+def test_quadrature_bisects_toward_rough_points(fprime, mp_fprime, breaks):
     """Non-smooth derivatives inside ``(0, x)`` still meet 1e-12.
 
     At alpha 0.5 and x 1 the relative errors read 8.1e-16 (kink), 5.6e-13
@@ -621,7 +623,7 @@ def test_quadrature_bisects_toward_rough_points(name, fprime, mp_fprime, breaks)
     pytest.importorskip("mpmath")
     exact = _caputo_by_mpmath(mp_fprime, 0.5, 1.0, breaks)
     got = caputo_quadrature(fprime, 0.5, 1.0, 1e-12)
-    assert abs(got - exact) <= 1e-12 * abs(exact), name
+    assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
