@@ -323,7 +323,7 @@ def _march(lam: np.ndarray, den: float, f: np.ndarray, tails: list, head: np.nda
     ``u_j`` at step m, and ``head`` is ``u_0 .. u_2``.  The ``ddot`` reads an
     offset into a newest-first buffer: no slice, copy or numpy call per step.
     """
-    from scipy.linalg.blas import ddot  # here: besides hyp1f1 on z < 0, the package's only scipy use
+    from scipy.linalg.blas import ddot  # here: the package's only scipy use bar hyp1f1 on z < 0
 
     n = f.size + 2
     buf = np.zeros(n + 1)  # newest first: step m's history u[m-1::-1] is buf[n-m+1:]
