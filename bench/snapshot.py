@@ -71,6 +71,7 @@ TRACED = (
     "caputo.exact_caputo_cos2pix.share",
     "caputo.caputo_quadrature.calls",
     "caputo.caputo_quadrature.share",
+    "relaxation.stability_check.share",
 )
 
 THREAD_PINS = {

@@ -1,6 +1,6 @@
 """Print the sha256 of the trajectories of 82 fixed solves.
 
-    PYTHONPATH=src python3 bench/solve_hash.py
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 bench/solve_hash.py
 
 The solves are alpha {0.2, 0.5, 0.8} x problems {II, III, exp at D = -5} x
 schemes {L1, Mid2, Right3mAlpha} x n {4095, 8256, 40960}, in that nesting
@@ -11,6 +11,11 @@ solver's output bit for bit must leave this hash as it was.  The grid sizes
 straddle the near field (4096): 4095 is the plain march, and the longer
 solves have no march: they run leaves and their far field from step 3.  D = -5 keeps exp on a
 growing solution whose rounding is amplified.
+
+The hash depends on OpenBLAS's thread count, which splits the leaves'
+matrix-vector products and so their rounding: with one thread
+(``OPENBLAS_NUM_THREADS=1``) it reads ``88d9ac8d…95aa``, and another count
+can give another hash for the same code (``590ca28d…2f44`` with two threads).
 """
 
 from __future__ import annotations

@@ -177,7 +177,12 @@ def exact_caputo_cos2pix(alpha: float, x):
     term so far.  The terms initially grow (the series is alternating with
     ratio ~ (2 pi x)^2 / (2k)^2), which is why the domain stops at x = 2.
     ``x`` is a point or an array of points; an array runs through one loop
-    over terms, and each point stops at its own truncation point.
+    over terms, and each point stops at its own truncation point.  Each
+    term runs only on the live suffix: the leading points that have
+    finished drop out of it, and a finished point inside it has its later
+    terms set to exact zeros, which leave its sum as it is, so any order of
+    the points gives the same values.  Every step of a term writes into
+    two float work arrays and one boolean one, allocated once.
 
     The terms are added with Knuth's branch-free TwoSum, whose exact
     rounding errors are Neumaier's (Ogita, Rump and Oishi, SIAM J. Sci.
@@ -198,19 +203,25 @@ def exact_caputo_cos2pix(alpha: float, x):
     total = term.copy()
     comp = np.zeros(x.size)
     scale = np.abs(term)
+    work, spare, done = np.empty(x.size), np.empty(x.size), np.empty(x.size, dtype=bool)
+    live = 0  # every point before it has finished
     for k in range(1, 300):
-        term *= ratio / ((2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha))
-        big = total + term
-        low = big - total
-        comp += (total - (big - low)) + (term - low)  # TwoSum: exactly total + term - big
-        total = big
-        mag = np.abs(term)
-        np.maximum(scale, mag, out=scale)
-        done = mag <= 1e-16 * scale
-        if done.all():
+        t, r, s, c, g, w, v, d = (a[live:] for a in (term, ratio, total, comp, scale, work, spare, done))
+        t *= np.divide(r, (2.0 * k + 1.0 - alpha) * (2.0 * k + 2.0 - alpha), out=v)
+        np.add(s, t, out=w)  # big = total + term
+        np.subtract(w, s, out=v)  # low = big - total
+        np.subtract(s, np.subtract(w, v, out=w), out=w)  # total - (big - low)
+        w += np.subtract(t, v, out=v)  # TwoSum: exactly total + term - big
+        c += w
+        s += t  # total = big, bit for bit
+        np.maximum(g, np.abs(t, out=v), out=g)
+        np.less_equal(v, np.multiply(g, 1e-16, out=w), out=d)
+        if d.all():
             break
-        ratio[done] = 0.0  # a finished point's later terms are exact zeros
-    return total + comp
+        r[d] = 0.0  # a finished point's later terms are exact zeros
+        live += int(d.argmin())  # to the first point still running
+    total += comp
+    return total
 
 
 def apply_stencil(wv: WeightVector, path: SampledPath) -> float:

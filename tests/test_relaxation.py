@@ -875,6 +875,43 @@ class TestStability:
             else:
                 assert verdict(scheme, -1e-9) is outside, scheme
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_prefix_verdict_matches_full_scan(self, alpha):
+        """The 64-step prefix settles only verdicts the full scan gives.
+
+        Recipe: the full scan over 2 <= m <= n.  D runs over its edge, one
+        float either side of it, and -1, which a failing prefix settles
+        for most schemes.  The prefix's values are the scan's first 63,
+        byte for byte, so its minimum is never below the scan's.
+        """
+        n, x_end = 4096, 2.0
+        c = alpha_constants(alpha)
+
+        def bound_terms(scheme, m_max):
+            ms = np.arange(2, m_max + 1)
+            interior = _interior_weights(scheme, alpha, m_max, c)
+            w_last = interior[2:] + _tail_deltas(scheme, alpha, ms, interior)[0]
+            return ms**alpha * (-w_last / scheme_norm(scheme, alpha))
+
+        def full_scan(damping, lower):
+            if damping > 0.0:
+                return StabilityVerdict.GuaranteedConvergent
+            if damping < 0.0 and -lower / x_end**alpha < damping:
+                return StabilityVerdict.ConditionallyConvergent
+            return StabilityVerdict.OutsideTheory
+
+        for scheme in ALL_SCHEMES:
+            terms = bound_terms(scheme, n)
+            assert bound_terms(scheme, 64).tobytes() == terms[:63].tobytes(), scheme
+            lower = float(np.min(terms))
+            edge = -lower / x_end**alpha
+            for damping in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf), -1.0):
+                problem = RelaxationProblem(
+                    alpha=alpha, D=float(damping), forcing=lambda x: 0.0, y0=0.0, x_end=x_end
+                )
+                verdict = stability_check(problem, scheme, n)
+                assert verdict is full_scan(damping, lower), (scheme, damping)
+
     def test_zero_damping(self):
         problem = RelaxationProblem(
             alpha=0.5, D=0.0, forcing=lambda x: 0.0, y0=0.0
