@@ -1,9 +1,10 @@
-"""Write ``BENCH_<label>.json``: end-to-end timings of this checkout.
+"""Write ``BENCH_<sha>.json``: end-to-end timings of this repository's HEAD.
 
-    python3 bench/snapshot.py --label "$(git rev-parse --short HEAD)"
-    python3 bench/snapshot.py --label "$(git rev-parse --short HEAD)" --against HEAD~1
+    python3 bench/snapshot.py
+    python3 bench/snapshot.py --against HEAD~1
 
-Measures the sources under ``src/`` beside this script, in fresh processes
+Measures the committed tree of HEAD, extracted with ``git archive`` into a
+temporary directory and named by its short sha, in fresh processes
 (one BLAS/OpenMP thread each), ``REPEATS`` times after one untimed warm-up
 of each item:
 
@@ -30,15 +31,19 @@ moves perfbench's ``setup_s``); numpy and scipy compile in every process
 too, so these figures are cold starts.  Each repeated item records the
 median and min of its repeats.  The settings are constants, so every BENCH
 file of the trajectory is measured alike.  The file goes to the repository
-root.
+root.  Since HEAD is what gets measured, the script exits 1, naming the
+files, when ``src/``, ``perfbench/``, ``tests/`` or ``BENCHMARK.json`` has
+uncommitted changes.
 
 ``--against REV`` measures a git revision of this repository in the same
-invocation, extracted with ``git archive`` into a temporary directory.
-Every item's repeats alternate between this checkout and REV, REV first in
-odd pairs, so that the machine's drift falls on both alike.  Both BENCH
-files are written, REV's labelled with its short sha.  In both, each
-repeated number carries ``change_lower``: in how many of the ``REPEATS``
-pairs this checkout read lower than REV.
+invocation, extracted the same way into a sibling directory whose path has
+the same length: perfbench's peak RSS depends on the directory a tree sits
+in, not only on its code.  Every item's repeats alternate between HEAD and
+REV, REV first in odd pairs, so that the machine's drift falls on both
+alike.  Both BENCH files are written, each named by its short sha; an A/A
+run (``--against HEAD``) labels them ``<sha>-a`` (HEAD) and ``<sha>-b``.  In
+both, each repeated number carries ``change_lower``: in how many of the
+``REPEATS`` pairs HEAD read lower than REV.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ TRACED = (
     "caputo.caputo_quadrature.share",
     "relaxation.stability_check.share",
 )
+
+#: What HEAD's measurements read; uncommitted changes to these stop the run.
+MEASURED = ("src", "perfbench", "tests", "BENCHMARK.json")
 
 THREAD_PINS = {
     var: "1"
@@ -139,26 +147,21 @@ def count_pairs(change, against) -> None:
             count_pairs(change[key], against[key])
 
 
-def git_sha(root: Path) -> str | None:
-    if not (root / ".git").exists():
-        return None
-    out = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or None
+def resolve(rev: str) -> str:
+    """The full sha of revision ``rev`` of this repository."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
-def checkout(rev: str, into: Path) -> str:
-    """Extract revision ``rev`` of this repository into ``into``; its full sha."""
-    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
-                         capture_output=True, text=True, check=True).stdout.strip()
+def checkout(sha: str, into: Path) -> None:
+    """Extract commit ``sha`` of this repository into ``into``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
-    return sha
 
 
-def environment(root: Path, label: str, sha: str | None) -> dict:
+def environment(root: Path, label: str, sha: str) -> dict:
     import numpy
     import scipy
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -188,19 +191,26 @@ def environment(root: Path, label: str, sha: str | None) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--against", metavar="REV",
-                        help="a git revision to measure interleaved with this checkout")
+                        help="a git revision to measure interleaved with HEAD")
     args = parser.parse_args(argv)
+    dirty = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain", "--untracked-files=no",
+                            "--", *MEASURED], capture_output=True, text=True, check=True).stdout
+    if dirty:
+        print(f"HEAD is what gets measured, but these files have uncommitted changes:\n{dirty}",
+              file=sys.stderr)
+        return 1
 
-    with tempfile.TemporaryDirectory(prefix="bench-tree-") as against:
-        trees = [(ROOT, args.label, git_sha(ROOT))]
-        if args.against:
-            sha = checkout(args.against, Path(against))
-            trees.append((Path(against), sha[:7], sha))
-        roots = [root for root, _, _ in trees]
+    shas = [resolve(rev) for rev in ["HEAD"] + ([args.against] if args.against else [])]
+    labels = [sha[:7] for sha in shas]
+    if len(set(labels)) < len(labels):  # an A/A run
+        labels = [f"{label}-{side}" for label, side in zip(labels, "ab")]
+    with tempfile.TemporaryDirectory(prefix="bench-trees-") as trees:
+        roots = [Path(trees, label) for label in labels]
+        for sha, root in zip(shas, roots):
+            checkout(sha, root)
         reports = [{"env": environment(root, label, sha), "repeats": REPEATS, "items": {}}
-                   for root, label, sha in trees]
+                   for root, label, sha in zip(roots, labels, shas)]
         items = [report["items"] for report in reports]
         py = sys.executable
         for per_tree, runs in zip(items, repeated(roots, [py, "-c", IMPORT],
@@ -217,7 +227,7 @@ def main(argv=None) -> int:
                 per_tree[f"solve_II_Right3mAlpha_{n}"] = {
                     "unit": "s", **summary([r["seconds"] for r in results]),
                     "peak_rss_mb": summary([r["peak_rss_mb"] for r in results])}
-        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        spec = json.loads((roots[0] / "BENCHMARK.json").read_text())
         for workload in (w["name"] for w in spec["workloads"]):
             cmd = [py, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
                    "--seconds", repr(PERFBENCH_SECONDS), "--trace"]
@@ -243,7 +253,7 @@ def main(argv=None) -> int:
 
     if len(reports) == 2:
         count_pairs(*items)
-        pair = {"change": trees[0][1], "against": trees[1][1],
+        pair = {"change": labels[0], "against": labels[1],
                 "order": "interleaved, the against tree first in odd pairs"}
         for report in reports:
             report["pair"] = pair

@@ -30,7 +30,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -74,18 +74,26 @@ class TestFunction:
         name: identifier used by the CLI and the convergence tables.
         eval: vectorized evaluation, ``t -> y(t)``.
         derivatives: callables for y', y'', y''', y'''' in that order.
-        value_at_zero: y(0).
-        first_deriv_at_zero: y'(0).
         exact_caputo: optional closed form ``(alpha, x) -> y^(alpha)(x)``;
             ``None`` means the quadrature oracle is the only reference.
+
+    The endpoint data of the fourth-order formula is derived, not stored:
+    ``value_at_zero`` is ``eval(0.0)`` and ``first_deriv_at_zero`` is
+    ``derivatives[0](0.0)``, both read-only.
     """
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
     derivatives: tuple[Callable[[float], float], ...]
-    value_at_zero: float
-    first_deriv_at_zero: float
     exact_caputo: Optional[Callable[[float, float], float]] = None
+
+    @property
+    def value_at_zero(self) -> float:
+        return float(self.eval(0.0))
+
+    @property
+    def first_deriv_at_zero(self) -> float:
+        return float(self.derivatives[0](0.0))
 
 
 @dataclass(frozen=True)
@@ -398,13 +406,11 @@ _ZS_FLOATS = _ZS_KS[1:].tolist()
 _ZS_LOGS = [[math.log(k) ** m for k in _ZS_FLOATS] for m in range(5)]
 
 
+@_elementwise
 def _zeta_shift_eval(t):
-    s = np.asarray(t, dtype=float) + 2.0
-    flat = np.atleast_1d(s).astype(float)
-    direct = np.sum(_ZS_KS[None, :] ** (-flat[:, None]), axis=1)
-    tail = _ZS_N ** (1.0 - flat) / (flat - 1.0) + _ZS_N**-flat / 2.0 + _em_tail(flat, _ZS_N, 1)
-    out = direct + tail
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out.reshape(np.shape(t))
+    s = t + 2.0
+    direct = np.sum(_ZS_KS[None, :] ** (-s[:, None]), axis=1)
+    return direct + (_ZS_N ** (1.0 - s) / (s - 1.0) + _ZS_N**-s / 2.0 + _em_tail(s, _ZS_N, 1))
 
 
 # The m-th derivative of zeta(t + 2), m = 1..4, is within 1.5e-15 relative of
@@ -465,53 +471,28 @@ def _caputo_log1p_series(alpha: float, x: float) -> float:
 _TWO_PI = 2.0 * math.pi
 
 
-def _build_catalog() -> dict[str, TestFunction]:
+def _power(p: int) -> TestFunction:
+    """``t^p``: its derivatives by the power rule, its Caputo derivative in closed form."""
+
+    def derivative(k: int) -> Callable[[float], float]:
+        c = math.perm(p, k)  # p!/(p-k)!
+        return (lambda t: c * t ** (p - k)) if k <= p else (lambda t: 0.0)
+
+    return TestFunction("t" if p == 1 else f"t{p}", lambda t: np.power(t, float(p)),
+                        tuple(map(derivative, range(1, 5))), partial(exact_caputo_power, p))
+
+
+def _log1p_derivative(k: int) -> Callable[[float], float]:
+    """The k-th derivative of ``log(1 + t)``: ``(-1)^(k+1) (k-1)! / (1+t)^k``."""
+    c = (-1) ** (k + 1) * math.factorial(k - 1)
+    return lambda t: c / (1.0 + t) ** k
+
+
+@lru_cache(maxsize=None)
+def _catalog() -> dict[str, TestFunction]:
     catalog = [
-        TestFunction(
-            "t",
-            lambda t: np.asarray(t, dtype=float),
-            (lambda t: 1.0, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0),
-            0.0,
-            1.0,
-            lambda a, x: exact_caputo_power(1.0, a, x),
-        ),
-        TestFunction(
-            "t2",
-            lambda t: np.square(t),
-            (lambda t: 2.0 * t, lambda t: 2.0, lambda t: 0.0, lambda t: 0.0),
-            0.0,
-            0.0,
-            lambda a, x: exact_caputo_power(2.0, a, x),
-        ),
-        TestFunction(
-            "t3",
-            lambda t: np.power(t, 3),
-            (lambda t: 3.0 * t * t, lambda t: 6.0 * t, lambda t: 6.0, lambda t: 0.0),
-            0.0,
-            0.0,
-            lambda a, x: exact_caputo_power(3.0, a, x),
-        ),
-        TestFunction(
-            "t4",
-            lambda t: np.power(t, 4),
-            (
-                lambda t: 4.0 * t**3,
-                lambda t: 12.0 * t * t,
-                lambda t: 24.0 * t,
-                lambda t: 24.0,
-            ),
-            0.0,
-            0.0,
-            lambda a, x: exact_caputo_power(4.0, a, x),
-        ),
-        TestFunction(
-            "exp",
-            np.exp,
-            (math.exp, math.exp, math.exp, math.exp),
-            1.0,
-            1.0,
-            exact_caputo_exp,
-        ),
+        *map(_power, range(1, 5)),
+        TestFunction("exp", np.exp, (math.exp,) * 4, exact_caputo_exp),
         TestFunction(
             "cos2pi",
             lambda t: np.cos(_TWO_PI * np.asarray(t, dtype=float)),
@@ -521,8 +502,6 @@ def _build_catalog() -> dict[str, TestFunction]:
                 lambda t: _TWO_PI**3 * math.sin(_TWO_PI * t),
                 lambda t: _TWO_PI**4 * math.cos(_TWO_PI * t),
             ),
-            1.0,
-            0.0,
             exact_caputo_cos2pix,
         ),
         TestFunction(
@@ -534,44 +513,18 @@ def _build_catalog() -> dict[str, TestFunction]:
                 lambda t: (6.0 * t * t - 2.0) / (1.0 + t * t) ** 3,
                 lambda t: 24.0 * t * (1.0 - t * t) / (1.0 + t * t) ** 4,
             ),
-            0.0,
-            1.0,
             _caputo_arctan_series,
         ),
-        TestFunction(
-            "log1p",
-            np.log1p,
-            (
-                lambda t: 1.0 / (1.0 + t),
-                lambda t: -1.0 / (1.0 + t) ** 2,
-                lambda t: 2.0 / (1.0 + t) ** 3,
-                lambda t: -6.0 / (1.0 + t) ** 4,
-            ),
-            0.0,
-            1.0,
-            _caputo_log1p_series,
-        ),
+        TestFunction("log1p", np.log1p, tuple(map(_log1p_derivative, range(1, 5))), _caputo_log1p_series),
         TestFunction(
             "zeta_shift2",
             _zeta_shift_eval,
-            tuple(
-                (lambda m: lambda t: _zeta_shift_derivative(t, m))(m)
-                for m in range(1, 5)
-            ),
-            _zeta_shift_eval(0.0),
-            _zeta_shift_derivative(0.0, 1),
-            None,
+            tuple(partial(_zeta_shift_derivative, m=m) for m in range(1, 5)),
         ),
     ]
     return {f.name: f for f in catalog}
 
 
-_CATALOG = None
-
-
 def function_catalog() -> dict[str, TestFunction]:
     """Named test functions; keys are the CLI spellings."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return dict(_CATALOG)
+    return dict(_catalog())

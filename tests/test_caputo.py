@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,13 +65,64 @@ def test_catalog_derivative_chain():
 
 
 def test_catalog_zero_data():
+    """The derived y(0) and y'(0) against values known independently of the catalog."""
+    mpmath = pytest.importorskip("mpmath")
+    exact = {
+        "t": (0.0, 1.0),
+        "t2": (0.0, 0.0),
+        "t3": (0.0, 0.0),
+        "t4": (0.0, 0.0),
+        "exp": (1.0, 1.0),
+        "cos2pi": (1.0, 0.0),
+        "arctan": (0.0, 1.0),
+        "log1p": (0.0, 1.0),
+    }
+    cat = function_catalog()
+    for name, (y0, d1) in exact.items():
+        assert (cat[name].value_at_zero, cat[name].first_deriv_at_zero) == (y0, d1), name
+    with mpmath.workdps(30):
+        zeta2, dzeta2 = float(mpmath.zeta(2)), float(mpmath.zeta(2, 1, 1))
+    f = cat["zeta_shift2"]
+    assert f.value_at_zero == pytest.approx(zeta2, rel=1e-15, abs=0.0)
+    assert f.first_deriv_at_zero == pytest.approx(dzeta2, rel=1e-15, abs=0.0)
+
+
+def test_catalog_eval_keeps_array_shape():
+    """Every ``eval`` takes a 2-D array and gives its flat values, reshaped, byte for byte."""
+    ts = np.linspace(0.0, 3.0, 12).reshape(3, 4)
     for f in function_catalog().values():
-        assert float(np.asarray(f.eval(0.0), float)) == pytest.approx(
-            f.value_at_zero, abs=1e-14
-        )
-        assert f.derivatives[0](0.0) == pytest.approx(
-            f.first_deriv_at_zero, abs=1e-14
-        )
+        got = np.asarray(f.eval(ts), dtype=float)
+        flat = np.asarray(f.eval(ts.ravel()), dtype=float)
+        assert got.shape == ts.shape, f.name
+        assert got.tobytes() == flat.reshape(ts.shape).tobytes(), f.name
+
+
+def _rule_derivative(name: str, k: int, t: Fraction) -> Fraction:
+    """The exact k-th derivative of t^p or of log(1 + t) at the rational ``t``."""
+    if name == "log1p":
+        return Fraction((-1) ** (k + 1) * math.factorial(k - 1)) / (1 + t) ** k
+    p = 1 if name == "t" else int(name[1:])
+    return math.perm(p, k) * t ** (p - k) if k <= p else Fraction(0)
+
+
+# The worst readings at these 301 points, in ulps of the exact value: 1.18
+# for the powers (t3's y' and t4's y''; exact zeros come out exactly zero)
+# and 4.06 for the fourth derivative of log1p, which carries the rounding of
+# 1 + t four times.
+@pytest.mark.parametrize(
+    "name, bound", [("t", 1.2), ("t2", 1.2), ("t3", 1.2), ("t4", 1.2), ("log1p", 4.1)]
+)
+def test_catalog_derivatives_against_exact_rationals(name, bound):
+    f = function_catalog()[name]
+    for k, derivative in enumerate(f.derivatives, start=1):
+        for t in np.linspace(0.0, 3.0, 301).tolist():
+            exact = _rule_derivative(name, k, Fraction(t))
+            got = float(derivative(t))
+            if exact == 0:
+                assert got == 0.0, (name, k, t)
+            else:
+                ulp = Fraction(math.ulp(float(exact)))
+                assert abs(Fraction(got) - exact) <= bound * ulp, (name, k, t)
 
 
 # mpmath dps=30
